@@ -151,16 +151,14 @@ def psi_eval_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
 @click.option("--model", "model_path", required=True)
 @click.option("--path", "path_path", required=True)
 @nodes_option
-@click.option("--eps", type=float, default=1e-4)
 @threads_option
 @click.option("--out", default=None)
-def psi_grad_cmd(model_path, path_path, nodes, eps, threads, out):
+def psi_grad_cmd(model_path, path_path, nodes, threads, out):
     _, p1 = _load_model(model_path)
     q = _load_path(path_path)
-    g = ob.psi_grad(p1, q, _quad(nodes, None, 0), eps=eps,
+    g = ob.psi_grad(p1, q, _quad(nodes, None, 0),
                     threads=resolve_threads(threads))
-    config = {"model": model_path, "path": path_path, "nodes": nodes,
-              "eps": eps}
+    config = {"model": model_path, "path": path_path, "nodes": nodes}
     _emit(_payload(config, {"gradient": path_to_json_dict(g)}), out)
 
 
@@ -441,10 +439,13 @@ def finiten_overlap(model_path, path_path, t, that, n_spins, samples, nmax,
 @click.option("--out", default=None)
 def finiten_check(model_path, path_path, t, that, n_spins, samples, nmax,
                   seed, threads, out):
+    if that != 0.0:
+        raise ValidationError("finiteN check runs at t_hat = 0 only; "
+                              "--that must be 0")
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
     report = fn.identity_checks(m, p1, n_spins, t, q, samples, seed,
-                                threads=resolve_threads(threads))
+                                n_max=nmax, threads=resolve_threads(threads))
     config = {"model": model_path, "path": path_path, "t": t, "that": that,
               "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
     result = {name: {"passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,

@@ -4,8 +4,9 @@ fixed-point solver.
 The functional J(q', p) = psi(q') + <p, q - q'> + t * int xi(p) is
 stationary exactly at pairs satisfying q' = q + t grad-xi(p) (+ 2 t-hat p
 in the perturbed setting) and p = grad-psi(q'); the solver runs a damped
-fixed-point iteration on p and certifies the returned point by
-re-evaluating the residual with the same finite-difference gradient.
+fixed-point iteration on p, with grad-psi the exact Gibbs-moment gradient
+of onebody.psi_grad, and certifies the returned point by re-evaluating
+the residual with that gradient on the same quadrature.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from .errors import NotIncreasing, ValidationError
 from .model import grad_lipschitz_const, theta_eval, xi_eval, xi_grad
 from .onebody import QuadratureSpec, psi_eval, psi_grad
 from .paths import PiecewisePath, SignedPiecewisePath, refine_all
+from .util import clip_increments
 
 __all__ = [
     "CriticalPoint", "SolverOptions", "hj_functional", "parisi_functional",
     "hat_functional", "solve_critical", "t_critical", "continuation",
-    "block_inner", "block_norm_l2", "map_blocks",
+    "block_inner", "block_norm_l2",
 ]
 
 log = logging.getLogger(__name__)
@@ -40,13 +42,6 @@ def block_inner(a, b) -> float:
 
 def block_norm_l2(a) -> float:
     return np.sqrt(max(block_inner(a, a), 0.0))
-
-
-def map_blocks(path, fn, signed=True):
-    """Apply a matrix function blockwise, keeping the partition."""
-    vals = [fn(v) for v in path.values]
-    cls = SignedPiecewisePath if signed else PiecewisePath
-    return cls(path.zetas, vals)
 
 
 def _diff_path(a, b):
@@ -117,43 +112,36 @@ class CriticalPoint:
     t_hat: float
 
 
-def _q_prime_of(model, t, t_hat, q, p, clip_tol=1e-6):
+# Roundoff in p or in grad-xi can leave an increment of q' a little below
+# the path's PSD tolerance; the forward clip absorbs dips down to this size.
+# Deeper dips mean grad-xi does not keep p's order (a non-convex model), and
+# those raise NotIncreasing.
+_DIP_TOL = 1e-6
+
+
+def _q_prime_of(model, t, t_hat, q, p):
     """q + t grad-xi(p) + 2 t_hat p as an increasing path.
 
-    Increment dips down to -clip_tol (finite-difference noise scale) are
-    absorbed by forward eigenvalue clipping; anything deeper raises
-    NotIncreasing.
+    Increment dips down to _DIP_TOL are absorbed by the forward PSD clip;
+    anything deeper raises NotIncreasing.
     """
     vals = [qv + t * xi_grad(model, pv) + 2.0 * t_hat * pv
             for qv, pv in zip(q.values, p.values)]
     try:
         return PiecewisePath(q.zetas, vals)
     except NotIncreasing:
-        pass
-    fixed = []
-    prev = np.zeros_like(vals[0])
-    running = np.zeros_like(vals[0])
-    for v in vals:
-        inc = v - prev
-        lam, vec = np.linalg.eigh(0.5 * (inc + inc.T))
-        if lam[0] < -clip_tol:
-            raise NotIncreasing(
-                f"critical-point path increment has eigenvalue "
-                f"{lam[0]:.3e} below {-clip_tol:g}")
-        prev = v
-        running = running + (vec * np.clip(lam, 0.0, None)) @ vec.T
-        fixed.append(running)
-    return PiecewisePath(q.zetas, fixed)
+        return PiecewisePath(q.zetas, clip_increments(vals, _DIP_TOL))
 
 
 def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
                    threads=None) -> CriticalPoint:
     """Damped iteration p <- (1-w) p + w grad-psi(q + t grad-xi(p) + 2 t-hat p).
 
+    grad-psi is onebody.psi_grad, the exact block gradient E^w[mu mu^T].
     The residual reported is |p - grad-psi(q'(p))|_{L2} evaluated at the
-    returned p with the same quadrature and finite-difference step, so
-    re-running the certificate reproduces it exactly.  Non-convergence is
-    returned as data (converged=False), never raised.
+    returned p with the same quadrature, so re-running the certificate
+    reproduces it exactly.  Non-convergence is returned as data
+    (converged=False), never raised.
     """
     if t < 0 or t_hat < 0:
         raise ValidationError("t and t_hat must be nonnegative")
@@ -202,13 +190,7 @@ def _as_increasing(p):
     try:
         return PiecewisePath(p.zetas, p.values)
     except NotIncreasing:
-        vals = []
-        prev = np.zeros_like(p.values[0])
-        for v in p.values:
-            lam, vec = np.linalg.eigh(v - prev)
-            prev = prev + (vec * np.clip(lam, 0.0, None)) @ vec.T
-            vals.append(prev)
-        return PiecewisePath(p.zetas, vals)
+        return PiecewisePath(p.zetas, clip_increments(p.values))
 
 
 def t_critical(model) -> float:

@@ -349,22 +349,23 @@ def _xi_sup_unit(model, samples=400, seed=0):
     return best
 
 
-def identity_checks(model, P1, N, t, q, samples, seed,
+def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
                     threads=None) -> IdentityReport:
     """Finite-size identities: Lipschitz bound, t-derivative identity,
     dual-cone monotonicity, and the initial condition.
 
     All comparisons reuse common random numbers across the compared
     parameter values, so the Monte Carlo error of each difference is the
-    per-sample spread of the difference itself.
+    per-sample spread of the difference itself.  Every session truncates
+    its cascade at n_max atoms per node.
     """
-    session = _Session(model, P1, N, q, 64)
+    session = _Session(model, P1, N, q, n_max)
     checks = {}
 
     # (a) Lipschitz in (t, q)
     q_alt = q.with_values([0.85 * v for v in q.values])
     t_alt = t + 0.05
-    session_alt = _Session(model, P1, N, q_alt, 64)
+    session_alt = _Session(model, P1, N, q_alt, n_max)
     lz = _log_z_samples(session, [t], 0.0, samples, seed, threads)[0] / N
     lz_alt = _log_z_samples(session_alt, [t_alt], 0.0, samples, seed,
                             threads)[0] / N
@@ -389,7 +390,7 @@ def identity_checks(model, P1, N, t, q, samples, seed,
 
     # (c) monotonicity along the dual cone
     q_lo = q.with_values([0.7 * v for v in q.values])
-    session_lo = _Session(model, P1, N, q_lo, 64)
+    session_lo = _Session(model, P1, N, q_lo, n_max)
     lz_lo = _log_z_samples(session_lo, [t], 0.0, samples, seed, threads)[0] / N
     dmono = -(lz.mean() - lz_lo.mean())
     sig = float((lz - lz_lo).std(ddof=1) / np.sqrt(samples))

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cascade import _grow_log_weights
-from .errors import BudgetExceeded, DegenerateBlock, ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .paths import PiecewisePath, SignedPiecewisePath, sqrt_increments
 from .util import chunked_thread_map, logsumexp, node_rng
 
@@ -49,6 +49,9 @@ class PsiResult:
     value: float
     method: str               # "quadrature" or "mc"
     error_estimate: float
+    # psi_mc: largest discarded-atom / retained-mass ratio of any cascade
+    # node it grew; 0.0 when no cascade was sampled
+    truncation_ratio: float = 0.0
 
 
 @lru_cache(maxsize=32)
@@ -79,13 +82,21 @@ def _atom_terms(P1, q_end, tilt):
     return const, np.sqrt(2.0) * atoms.T
 
 
-def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads):
+def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
+               moments=False):
     """Evaluate the cascade recursion over explicit per-level node sets.
 
     node_sets[l] has shape (G_l, D); the innermost free-energy kernel is
     evaluated on the full product grid, then levels are collapsed inward
     with X_{l-1} = zeta_l^{-1} log E exp(zeta_l X_l) and a plain average
     at the root.  Returns X_0 values per outermost node, shape (G_0,).
+
+    With moments, the same pass also returns M of shape (G_0, K+1, D, D):
+    M[g, k] sums r mu_k mu_k^T over the level-k descendants of root node
+    g, where mu_K is the atom Gibbs mean at an innermost node,
+    mu_{l-1} = sum r_l mu_l over the children, and r is the product of
+    the collapse weights r_l = w exp(zeta_l (X_l - X_{l-1})) on the way
+    down (each r_l sums to 1 over its siblings).
     """
     K = len(node_sets) - 1
     contrib = [node_sets[l] @ roots[l].T for l in range(K + 1)]
@@ -94,6 +105,8 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads):
     g0 = len(node_sets[0])
     chunk = max(1, min(g0, (1 << 20) // max(inner_total, 1)))
     starts = list(range(0, g0, chunk))
+    atoms = atoms_t.T / np.sqrt(2.0)
+    D = atoms.shape[1]
 
     def one_chunk(s0):
         idx = slice(s0, min(s0 + chunk, g0))
@@ -104,12 +117,62 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads):
             arr = arr + contrib[l].reshape(shape)
         a = arr.reshape(-1, arr.shape[-1]) @ atoms_t + const
         x = logsumexp(a, axis=1).reshape((c,) + inner_sizes)
+        if moments:
+            gibbs = np.exp(a - x.reshape(-1, 1))
+            mus = [None] * K + [(gibbs @ atoms).reshape(x.shape + (D,))]
+            rs = [None] * (K + 1)
         for l in range(K, 0, -1):
-            x = logsumexp(logw_sets[l] + zetas[l] * x, axis=-1) / zetas[l]
-        return x
+            t = logw_sets[l] + zetas[l] * x
+            x = logsumexp(t, axis=-1) / zetas[l]
+            if moments:
+                rs[l] = np.exp(t - zetas[l] * x[..., None])
+                mus[l - 1] = (rs[l][..., None, :] @ mus[l])[..., 0, :]
+        if not moments:
+            return x
+        m = np.empty((c, K + 1, D, D))
+        pi = np.ones(c)
+        for k in range(K + 1):
+            if k:
+                pi = pi[..., None] * rs[k]
+            mu = mus[k].reshape(c, -1, D)
+            m[:, k] = np.swapaxes(pi.reshape(c, -1, 1) * mu, 1, 2) @ mu
+        return x, m
 
     parts = chunked_thread_map(one_chunk, starts, threads)
-    return np.concatenate(parts)
+    if not moments:
+        return np.concatenate(parts)
+    return (np.concatenate([x for x, _ in parts]),
+            np.concatenate([m for _, m in parts]))
+
+
+def _levels(q, quad):
+    """Per-level node sets and log-weights shared by psi_eval and psi_grad.
+
+    Gauss-Hermite tensor nodes when the full grid fits NODE_BUDGET;
+    otherwise, given quad.mc_fallback, equal-weight Monte Carlo node sets
+    per level, with per-level sample counts chosen to fit the budget (and
+    capped by mc_fallback["samples"]).  Returns (node_sets, logw_sets,
+    method) with method "quadrature" or "mc".
+    """
+    if not isinstance(q, PiecewisePath):
+        raise ValidationError("q must be a PiecewisePath")
+    K, D = q.K, q.D
+    n = quad.nodes_per_dim
+    total = float(n) ** (D * (K + 1))
+    if total <= NODE_BUDGET:
+        pts, lws = _gh_nodes(n, D)
+        return [pts] * (K + 1), [lws] * (K + 1), "quadrature"
+    if quad.mc_fallback is None:
+        raise BudgetExceeded(
+            f"grid needs {total:.3g} evaluations, budget {NODE_BUDGET:g};"
+            " supply mc_fallback or reduce nodes_per_dim")
+    cap = int(quad.mc_fallback.get("samples", 10 ** 5))
+    seed = int(quad.mc_fallback.get("seed", 0))
+    per_level = max(8, min(cap, int(NODE_BUDGET ** (1.0 / (K + 1)))))
+    rng = node_rng(seed, 9)
+    node_sets = [rng.standard_normal((per_level, D)) for _ in range(K + 1)]
+    logw_sets = [np.full(per_level, -np.log(per_level))] * (K + 1)
+    return node_sets, logw_sets, "mc"
 
 
 def psi_eval(P1, q, quad, tilt=None, threads=None) -> PsiResult:
@@ -117,50 +180,20 @@ def psi_eval(P1, q, quad, tilt=None, threads=None) -> PsiResult:
 
     The optional PSD tilt adds +sigma.tilt.sigma inside the innermost
     kernel (used by the classic Parisi functional); with a tilt the
-    result may be negative.
+    result may be negative.  Under the budget fallback (method "mc") the
+    error estimate is the stderr over outermost nodes; noise from the
+    shared inner-level samples is not included, so treat it as a lower
+    bound.
     """
-    if not isinstance(q, PiecewisePath):
-        raise ValidationError("q must be a PiecewisePath")
-    roots = sqrt_increments(q)
-    K, D = q.K, q.D
+    node_sets, logw_sets, method = _levels(q, quad)
     const, atoms_t = _atom_terms(P1, q.final_value, tilt)
-    n = quad.nodes_per_dim
-    total = float(n) ** (D * (K + 1))
-    if total > NODE_BUDGET:
-        if quad.mc_fallback is None:
-            raise BudgetExceeded(
-                f"grid needs {total:.3g} evaluations, budget {NODE_BUDGET:g};"
-                " supply mc_fallback or reduce nodes_per_dim")
-        return _psi_sampled_levels(q, quad, roots, const, atoms_t, threads)
-    pts, lws = _gh_nodes(n, D)
-    node_sets = [pts] * (K + 1)
-    logw_sets = [lws] * (K + 1)
-    x0 = _recursion(node_sets, logw_sets, q.zetas, roots, const, atoms_t,
-                    threads)
-    value = -float(np.exp(lws) @ x0) + 0.0    # avoid -0.0 in reports
+    x0 = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q), const,
+                    atoms_t, threads)
+    if method == "mc":
+        stderr = float(x0.std(ddof=1) / np.sqrt(len(x0)))
+        return PsiResult(-float(x0.mean()), "mc", stderr)
+    value = -float(np.exp(logw_sets[0]) @ x0) + 0.0    # avoid -0.0 in reports
     return PsiResult(value, "quadrature", 0.0)
-
-
-def _psi_sampled_levels(q, quad, roots, const, atoms_t, threads):
-    """Budget fallback: equal-weight Monte Carlo node sets per level.
-
-    Per-level sample counts are chosen to fit the evaluation budget (and
-    capped by mc_fallback["samples"]).  The error estimate is the stderr
-    over outermost nodes; noise from the shared inner-level samples is
-    not included, so treat it as a lower bound.
-    """
-    K, D = q.K, q.D
-    cap = int(quad.mc_fallback.get("samples", 10 ** 5))
-    seed = int(quad.mc_fallback.get("seed", 0))
-    per_level = max(8, min(cap, int(NODE_BUDGET ** (1.0 / (K + 1)))))
-    rng = node_rng(seed, 9)
-    node_sets = [rng.standard_normal((per_level, D)) for _ in range(K + 1)]
-    logw_sets = [np.full(per_level, -np.log(per_level))] * (K + 1)
-    x0 = _recursion(node_sets, logw_sets, q.zetas, roots, const, atoms_t,
-                    threads)
-    value = -float(x0.mean())
-    stderr = float(x0.std(ddof=1) / np.sqrt(len(x0)))
-    return PsiResult(value, "mc", stderr)
 
 
 def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
@@ -173,7 +206,8 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
     matrix product then gives, per atom j, a contiguous row
     atoms_j . h + const_j + log w over all leaves, and each sample's log
     partition function is a single max-shifted log-sum-exp over the
-    (atom, leaf) pairs.
+    (atom, leaf) pairs.  truncation_ratio is the largest discarded-atom /
+    retained-mass ratio over all grown cascade nodes.
 
     With psi_eval it shares only sqrt_increments and _atom_terms (the
     per-atom constants and scaled atoms); cascade weights come from the
@@ -195,12 +229,14 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
         rng = node_rng(seed, 4, start)
         count = min(chunk_samples, samples - start)
         out = np.empty(count)
+        ratio = 0.0
         b_cap = max(1, (1 << 20) // L)
         done = 0
         while done < count:
             b = min(b_cap, count - done)
             if K > 0:
-                logw, _ = _grow_log_weights(zi, n_max, rng, batch=b)
+                logw, r = _grow_log_weights(zi, n_max, rng, batch=b)
+                ratio = max(ratio, r)
             else:
                 logw = np.zeros((b, 1))
             field = np.zeros((D, b, L))
@@ -217,152 +253,36 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
             np.exp(a, out=a)
             out[done:done + b] = np.log(a.sum(axis=(0, 2))) + m
             done += b
-        return out
+        return out, ratio
 
-    f = np.concatenate(chunked_thread_map(one_chunk, chunks, threads))
+    parts = chunked_thread_map(one_chunk, chunks, threads)
+    f = np.concatenate([out for out, _ in parts])
     value = -float(f.mean())
     stderr = float(f.std(ddof=1) / np.sqrt(samples))
-    return PsiResult(value, "mc", stderr)
+    return PsiResult(value, "mc", stderr, max(r for _, r in parts))
 
 
-def _perturb_block(q, k, delta):
-    """Path with values[k] shifted by delta, or None if not increasing."""
-    vals = [v.copy() for v in q.values]
-    vals[k] = vals[k] + delta
-    try:
-        return q.with_values(vals)
-    except ValidationError:
-        return None
+def psi_grad(P1, q, quad, threads=None) -> SignedPiecewisePath:
+    """Block gradient of psi, p_k = E^w[mu_k mu_k^T], from one pass of the
+    cascade recursion on psi_eval's node sets.
 
-
-def _perturb_tail(q, k, delta):
-    """Path with values[m] shifted by delta for every m >= k."""
-    vals = [v + delta if m >= k else v.copy()
-            for m, v in enumerate(q.values)]
-    try:
-        return q.with_values(vals)
-    except ValidationError:
-        return None
-
-
-def psi_grad(P1, q, quad, eps=1e-4, threads=None) -> SignedPiecewisePath:
-    """Block gradient of psi by symmetric-basis finite differences.
-
-    Per block k, the coefficient along each orthonormal symmetric basis
-    direction is a central difference of psi_eval divided by the block
-    length, shrinking eps (up to 4 halvings) and then falling back to a
-    one-sided difference when a perturbed path leaves the increasing
-    cone.  Blocks pinched between equal neighbours admit no single-block
-    perturbation at all; those are resolved through one-sided bumps of
-    the whole tail [zeta_k, 1) along PSD-shifted directions, which stay
-    admissible because they move a single increment.
+    mu_k is the Gibbs mean of the spin given the field down to level k:
+    the atom mean softmax(kernel) @ atoms at level K, and
+    mu_{l-1} = sum r_l mu_l with the collapse weights
+    r_l = w exp(zeta_l (X_l - X_{l-1})).  E^w averages over the root nodes
+    with the products of the r_l as weights.  Gaussian integration by
+    parts makes the level terms telescope, so d psi / d q_k =
+    len_k E^w[mu_k mu_k^T] with len_k the block length: no derivative of
+    the matrix square root enters, and zero or pinched increments need no
+    special case.  For K = 0, D = 1 and Ising atoms this is
+    E tanh^2(sqrt(2 q) Z).
     """
-    from .model import sym_basis
-
-    lens = q.lengths()
-    if np.any(lens < 1e-9):
-        raise DegenerateBlock("block shorter than 1e-9")
-    K, D = q.K, q.D
-    basis = sym_basis(D)
-
-    def val(path):
-        return psi_eval(P1, path, quad, threads=threads).value
-
-    base = None
-
-    def base_val():
-        nonlocal base
-        if base is None:
-            base = val(q)
-        return base
-
-    def tail_stencil(k, M, h):
-        qp = _perturb_tail(q, k, h * M)
-        if qp is None:
-            raise ValidationError("tail perturbation left the cone")
-        qp2 = _perturb_tail(q, k, 2 * h * M)
-        if qp2 is None:
-            return (val(qp) - base_val()) / h
-        return (-3.0 * base_val() + 4.0 * val(qp) - val(qp2)) / (2 * h)
-
-    def tail_one_sided(k, M, step):
-        # Richardson pairing of two second-order one-sided stencils;
-        # the O(step^2) terms cancel, leaving O(step^3) bias.
-        d1 = tail_stencil(k, M, step)
-        d2 = tail_stencil(k, M, 0.5 * step)
-        return (4.0 * d2 - d1) / 3.0
-
-    tail_id = {}
-    tail_dir = {}
-
-    def tail_id_deriv(k, step):
-        # <grad, I on [zeta_k,1)>, cached per block
-        if k not in tail_id:
-            tail_id[k] = tail_one_sided(k, np.eye(D), step)
-        return tail_id[k]
-
-    def pinched_deriv(k, bi, b_mat, step):
-        # directional tail derivative via the smallest PSD shift (large
-        # shifts inflate the cubic stencil error), then the block value
-        # is the difference of consecutive tail pairings, with the tail
-        # derivatives cached so adjacent pinched blocks share them
-        lam = max(0.0, -float(np.linalg.eigvalsh(b_mat)[0]))
-
-        def tail_pair(kk):
-            if kk > K:
-                return 0.0
-            if (kk, bi) not in tail_dir:
-                shifted = tail_one_sided(kk, b_mat + lam * np.eye(D), step)
-                if lam != 0.0:
-                    shifted -= lam * tail_id_deriv(kk, step)
-                tail_dir[(kk, bi)] = shifted
-            return tail_dir[(kk, bi)]
-        return (tail_pair(k) - tail_pair(k + 1)) / lens[k]
-
-    blocks = []
-    for k in range(K + 1):
-        p_k = np.zeros((D, D))
-        for bi, b_mat in enumerate(basis):
-            coeff = None
-            trial = eps
-            for _ in range(5):
-                step = trial
-                qp = _perturb_block(q, k, step * b_mat)
-                qm = _perturb_block(q, k, -step * b_mat)
-                if qp is not None and qm is not None:
-                    coeff = (val(qp) - val(qm)) / (2 * step * lens[k])
-                    break
-                trial *= 0.5
-            if coeff is None:
-                if qp is not None:
-                    qp2 = _perturb_block(q, k, 2 * step * b_mat)
-                    if qp2 is None:
-                        coeff = (val(qp) - base_val()) / (step * lens[k])
-                    else:
-                        coeff = (-3.0 * base_val() + 4.0 * val(qp)
-                                 - val(qp2)) / (2 * step * lens[k])
-                elif qm is not None:
-                    qm2 = _perturb_block(q, k, -2 * step * b_mat)
-                    if qm2 is None:
-                        coeff = (base_val() - val(qm)) / (step * lens[k])
-                    else:
-                        coeff = (3.0 * base_val() - 4.0 * val(qm)
-                                 + val(qm2)) / (2 * step * lens[k])
-                else:
-                    coeff = pinched_deriv(k, bi, b_mat, eps)
-            p_k += coeff * b_mat
-        blocks.append(p_k)
-
-    out = SignedPiecewisePath(q.zetas, blocks)
-    incs = out.increments()
-    for inc in incs[1:]:
-        if np.linalg.eigvalsh(inc)[0] < -1e-5:
-            raise ValidationError("gradient of psi failed the increasing "
-                                  "post-check; refine the quadrature")
-    for p_k in blocks:
-        if np.linalg.norm(p_k) > 1.0 + 1e-6:
-            raise ValidationError("gradient block norm exceeds 1")
-    return out
+    node_sets, logw_sets, _ = _levels(q, quad)
+    const, atoms_t = _atom_terms(P1, q.final_value, None)
+    _, m = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q),
+                      const, atoms_t, threads, moments=True)
+    blocks = np.tensordot(np.exp(logw_sets[0]), m, axes=1)
+    return SignedPiecewisePath(q.zetas, blocks)
 
 
 def gaussian_cascade_logfree(zetas, tilde_theta) -> float:

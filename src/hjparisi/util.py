@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .errors import NotIncreasing
+
 PSD_TOL = 1e-10
 
 
@@ -35,10 +37,6 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def min_eig(a):
-    return float(np.linalg.eigvalsh(a)[0])
-
-
 def psd_sqrt(a, clip_tol=PSD_TOL):
     """Principal square root of a symmetric PSD matrix.
 
@@ -56,6 +54,26 @@ def project_psd(a):
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
     lam, vec = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
     return (vec * np.clip(lam, 0.0, None)) @ vec.T
+
+
+def clip_increments(values, tol=np.inf):
+    """Forward PSD-increment clip of a sequence of symmetric matrices.
+
+    Returns out with out_k = out_{k-1} + [sym(v_k) - out_{k-1}]_+ and
+    out_{-1} = 0, where [.]_+ sets negative eigenvalues to zero, so every
+    increment of out is PSD.  An increment with an eigenvalue below -tol
+    raises NotIncreasing.
+    """
+    out = []
+    prev = np.zeros_like(values[0], dtype=float)
+    for k, v in enumerate(values):
+        lam, vec = np.linalg.eigh(sym(np.asarray(v, dtype=float)) - prev)
+        if lam[0] < -tol:
+            raise NotIncreasing(f"increment {k} has eigenvalue "
+                                f"{lam[0]:.3e} below {-tol:g}")
+        prev = prev + (vec * np.clip(lam, 0.0, None)) @ vec.T
+        out.append(prev)
+    return out
 
 
 def node_rng(seed, *key):
@@ -88,8 +106,3 @@ def chunked_thread_map(fn, items, threads=1):
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
-
-
-def fixed_chunks(n, size):
-    """[(lo, hi)] covering range(n) in fixed-size blocks."""
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]

@@ -20,7 +20,7 @@ from .model import (convexity_probe, grad_lipschitz_upper_bound, sym_basis,
                     theta_eval, xi_grad, xi_star)
 from .onebody import QuadratureSpec, psi_eval
 from .paths import PiecewisePath
-from .util import chunked_thread_map, node_rng
+from .util import chunked_thread_map, clip_increments, node_rng, project_psd
 
 __all__ = [
     "VariationalResult", "parisi_sup", "hopf_lax_value", "classic_parisi",
@@ -63,12 +63,7 @@ def _refit(path, zetas):
 
 def _monotone_project(blocks, cap=None):
     """Forward eigenvalue clip to PSD increments, then a global norm cap."""
-    out = []
-    prev = np.zeros_like(blocks[0])
-    for v in blocks:
-        lam, vec = np.linalg.eigh(0.5 * (v + v.T) - prev)
-        prev = prev + (vec * np.clip(lam, 0.0, None)) @ vec.T
-        out.append(prev)
+    out = clip_increments(blocks)
     if cap is not None:
         top = max(float(np.linalg.norm(v)) for v in out)
         if top > cap:
@@ -364,10 +359,6 @@ def parisi_std(model, P1, opts=None, quad=None, threads=None) -> float:
         star = xi_star(model, 2.0 * y, radius=2.0)
         return inner(y) - 0.5 * star
 
-    def psd_project(y):
-        lam, vec = np.linalg.eigh(0.5 * (y + y.T))
-        return (vec * np.clip(lam, 0.0, None)) @ vec.T
-
     y = np.zeros((D, D))
     best = h_val(y)
     log.info("parisi_std: lower bound at y=0 is %.6g", best)
@@ -377,7 +368,7 @@ def parisi_std(model, P1, opts=None, quad=None, threads=None) -> float:
         improved = False
         for b_mat in basis:
             for sgn in (1.0, -1.0):
-                cand = psd_project(y + sgn * step * b_mat)
+                cand = project_psd(y + sgn * step * b_mat)
                 if np.allclose(cand, y, atol=1e-14):
                     continue
                 val = h_val(cand)

@@ -186,6 +186,25 @@ def test_finiten_check_passes(files, capsys):
     assert res["initial"]["passed"] is True
 
 
+def test_finiten_check_uses_nmax_and_rejects_that(files, capsys):
+    args = ["finiteN", "check", "--model", files["sk.json"], "--path",
+            files["q2.json"], "--t", "0.1", "--n", "3", "--samples", "60",
+            "--seed", "13"]
+    outs = {}
+    for nmax in ("4", "64"):
+        code, out, _ = run_cli(args + ["--nmax", nmax], capsys)
+        payload = json.loads(out)
+        assert payload["config"]["nmax"] == int(nmax)
+        outs[nmax] = payload["result"]
+    # the truncation level changes the cascades, so the estimates move
+    assert outs["4"]["lipschitz"]["lhs"] != outs["64"]["lipschitz"]["lhs"]
+
+    code, out, err = run_cli(args + ["--that", "0.1"], capsys)
+    assert code == 1
+    assert "--that" in err
+    assert out == ""
+
+
 def test_out_flag_mirrors_stdout(files, capsys):
     target = files["dir"] / "payload.json"
     code, out, _ = run_cli(["psi", "eval", "--model", files["sk.json"],

@@ -109,6 +109,18 @@ def test_psi_mc_value_is_kept_on_a_tilted_depth_two_instance():
                                                abs=1e-12)
 
 
+def test_psi_mc_reports_truncation_ratio():
+    q = scalar_path([0.0, 0.5], [0.1, 0.3])
+    res = psi_mc(P1, q, n_max=16, samples=300, seed=4)
+    assert 0.0 < res.truncation_ratio < 1.0
+    assert res.truncation_ratio == psi_mc(P1, q, n_max=16, samples=300,
+                                          seed=4, threads=2).truncation_ratio
+    flat = psi_mc(P1, scalar_path([0.0], [0.3]), n_max=16, samples=50,
+                  seed=4)
+    assert flat.truncation_ratio == 0.0
+    assert psi_eval(P1, q, QUAD).truncation_ratio == 0.0
+
+
 def test_psi_eval_rejects_signed_paths():
     from hjparisi.paths import signed_path_new
     s = signed_path_new([0.0], [[[0.2]]])
@@ -139,6 +151,55 @@ def test_psi_grad_single_block_analytic():
     assert g3.values[0][0, 0] == pytest.approx(0.30396133282187311, abs=1e-6)
 
 
+def test_psi_grad_two_block_values():
+    # values from tools/derive_expected.py: a fourth-order central
+    # difference of its own two-step recursion, per block length
+    g = psi_grad(P1, scalar_path([0.0, 0.5], [0.05, 0.15]), QUAD)
+    assert g.values[0][0, 0] == pytest.approx(0.073586687613, abs=1e-8)
+    assert g.values[1][0, 0] == pytest.approx(0.213301286310, abs=1e-8)
+
+
+def test_psi_grad_matches_central_difference_of_psi_eval():
+    # D=2, K=1 on a path with off-diagonal entries.  The exact gradient
+    # converges to grad psi, not to the derivative of the quadrature sum;
+    # at 24 nodes the two differ here by 5e-10, the O(h^2) error of the
+    # difference itself.
+    from hjparisi.model import sym_basis
+    p2 = ising_measure(2)
+    q = path_new([0.0, 0.4],
+                 [np.array([[0.20, 0.08], [0.08, 0.15]]),
+                  np.array([[0.50, 0.15], [0.15, 0.45]])])
+    quad = QuadratureSpec(nodes_per_dim=24)
+    got = psi_grad(p2, q, quad)
+    h = 1e-4
+    for k, length in enumerate(q.lengths()):
+        fd = np.zeros((2, 2))
+        for b_mat in sym_basis(2):
+            vals = [np.array(q.values), np.array(q.values)]
+            vals[0][k] += h * b_mat
+            vals[1][k] -= h * b_mat
+            up, down = (psi_eval(p2, q.with_values(v), quad).value
+                        for v in vals)
+            fd += (up - down) / (2 * h * length) * b_mat
+        np.testing.assert_allclose(got.values[k], fd, atol=1e-7)
+
+
+def test_psi_grad_under_budget_fallback():
+    # the sampled node sets of psi_eval's fallback carry the same moment
+    # pass: the blocks stay increasing and near the quadrature gradient
+    q = path_new([0.0, 0.3, 0.6],
+                 [0.05 * np.eye(2), 0.15 * np.eye(2), 0.3 * np.eye(2)])
+    p2 = ising_measure(2)
+    quad = QuadratureSpec(nodes_per_dim=32,
+                          mc_fallback={"samples": 60, "seed": 1})
+    g = psi_grad(p2, q, quad)
+    assert np.all(np.isfinite(g.values))
+    for inc in g.increments():
+        assert np.linalg.eigvalsh(inc)[0] >= -1e-12
+    ref = psi_grad(p2, q, QuadratureSpec(nodes_per_dim=8))
+    np.testing.assert_allclose(g.values, ref.values, atol=0.03)
+
+
 def test_psi_grad_blocks_increase_along_the_path():
     q = scalar_path([0.0, 0.4, 0.7], [0.1, 0.25, 0.5])
     g = psi_grad(P1, q, QuadratureSpec(nodes_per_dim=32))
@@ -148,8 +209,8 @@ def test_psi_grad_blocks_increase_along_the_path():
 
 
 def test_psi_grad_handles_pinched_increments():
-    # rank-one value: central differences leave the cone in some basis
-    # directions, so the boundary scheme must kick in and stay finite
+    # rank-one value: the field has a zero-variance direction, where the
+    # gradient must stay finite and symmetric
     q = path_new([0.0], [np.diag([0.3, 0.0])])
     g = psi_grad(ising_measure(2), q, QuadratureSpec(nodes_per_dim=24))
     assert np.all(np.isfinite(g.values))

@@ -51,6 +51,17 @@ def psi_two_step_ising1(z0q, q0, q1, zeta1, nodes=80):
     return -float(w @ x0)
 
 
+def psi_two_step_grad_ising1(q0, q1, zeta1, h=1e-3, nodes=80):
+    """Block gradient of psi_two_step_ising1, (d psi/d q0 / zeta1,
+    d psi/d q1 / (1 - zeta1)), by a fourth-order central difference."""
+    def deriv(f):
+        return (8.0 * (f(h) - f(-h)) - (f(2 * h) - f(-2 * h))) / (12.0 * h)
+
+    d0 = deriv(lambda e: psi_two_step_ising1(None, q0 + e, q1, zeta1, nodes))
+    d1 = deriv(lambda e: psi_two_step_ising1(None, q0, q1 + e, zeta1, nodes))
+    return d0 / zeta1, d1 / (1.0 - zeta1)
+
+
 def psi_onestep_d2(q0, q1, zeta1, atoms, nodes=40):
     """D=2 analogue of the above, brute-force over a tensor GH grid."""
     z, w = hermite_nodes(nodes)
@@ -174,6 +185,13 @@ def main():
     print(f"psi 2-step D=1 ising, zeta=(0,0.5), q=(0.1,0.3)   = {v:.12f}")
     v80 = psi_two_step_ising1(None, 0.1, 0.3, 0.5, nodes=120)
     print(f"  (120-node check)                                 = {v80:.12f}")
+
+    g0, g1 = psi_two_step_grad_ising1(0.05, 0.15, 0.5)
+    print(f"grad psi 2-step D=1 ising, zeta=(0,0.5), q=(0.05,0.15) = "
+          f"({g0:.12f}, {g1:.12f})")
+    g0, g1 = psi_two_step_grad_ising1(0.05, 0.15, 0.5, h=5e-4, nodes=120)
+    print(f"  (h=5e-4, 120-node check)                         = "
+          f"({g0:.12f}, {g1:.12f})")
 
     atoms = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]) / np.sqrt(2.0)
     q0 = np.array([[0.10, 0.03], [0.03, 0.08]])
