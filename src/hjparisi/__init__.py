@@ -26,7 +26,6 @@ from .critpoint import (
 from .errors import (
     BadBreakpoints,
     BudgetExceeded,
-    DegenerateBlock,
     NonConvergence,
     NotIncreasing,
     NotUltrametric,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadBreakpoints", "BudgetExceeded", "CascadeField", "CascadeSample",
-    "CriticalPoint", "DegenerateBlock", "NonConvergence", "NotIncreasing",
+    "CriticalPoint", "NonConvergence", "NotIncreasing",
     "NotUltrametric", "PartitionMismatch", "PiecewisePath", "PsiResult",
     "QuadratureSpec", "ReferenceMeasure", "SignedPiecewisePath",
     "SolverOptions", "ValidationError", "XiModel", "bipartite",

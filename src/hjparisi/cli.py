@@ -151,14 +151,19 @@ def psi_eval_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
 @click.option("--model", "model_path", required=True)
 @click.option("--path", "path_path", required=True)
 @nodes_option
+@click.option("--mc-samples", type=int, default=None,
+              help="enable the budget fallback with this many samples")
+@click.option("--mc-seed", type=int, default=0)
 @threads_option
 @click.option("--out", default=None)
-def psi_grad_cmd(model_path, path_path, nodes, threads, out):
+def psi_grad_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
+                 out):
     _, p1 = _load_model(model_path)
     q = _load_path(path_path)
-    g = ob.psi_grad(p1, q, _quad(nodes, None, 0),
+    g = ob.psi_grad(p1, q, _quad(nodes, mc_samples, mc_seed),
                     threads=resolve_threads(threads))
-    config = {"model": model_path, "path": path_path, "nodes": nodes}
+    config = {"model": model_path, "path": path_path, "nodes": nodes,
+              "mc_samples": mc_samples, "mc_seed": mc_seed}
     _emit(_payload(config, {"gradient": path_to_json_dict(g)}), out)
 
 

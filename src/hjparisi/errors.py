@@ -30,10 +30,6 @@ class NotUltrametric(ValidationError):
         self.triple = triple
 
 
-class DegenerateBlock(ValidationError):
-    """A path block is too short to difference against."""
-
-
 class Singular(ValidationError):
     """A matrix that must be positive definite is not."""
 

@@ -359,6 +359,8 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     per-sample spread of the difference itself.  Every session truncates
     its cascade at n_max atoms per node.
     """
+    # check (d)'s psi first: past the quadrature budget, fail before sampling
+    psi = psi_eval(P1, q, QuadratureSpec()).value
     session = _Session(model, P1, N, q, n_max)
     checks = {}
 
@@ -399,7 +401,6 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
 
     # (d) initial condition at t = 0
     lz0 = _log_z_samples(session, [0.0], 0.0, samples, seed, threads)[0] / N
-    psi = psi_eval(P1, q, QuadratureSpec()).value
     sig = float(lz0.std(ddof=1) / np.sqrt(samples))
     checks["initial"] = CheckResult(abs(-lz0.mean() - psi) <= 3 * sig,
                                     float(-lz0.mean()), psi, sig)

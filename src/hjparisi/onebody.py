@@ -262,7 +262,7 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
     return PsiResult(value, "mc", stderr, max(r for _, r in parts))
 
 
-def psi_grad(P1, q, quad, threads=None) -> SignedPiecewisePath:
+def psi_grad(P1, q, quad, tilt=None, threads=None) -> SignedPiecewisePath:
     """Block gradient of psi, p_k = E^w[mu_k mu_k^T], from one pass of the
     cascade recursion on psi_eval's node sets.
 
@@ -275,10 +275,11 @@ def psi_grad(P1, q, quad, threads=None) -> SignedPiecewisePath:
     len_k E^w[mu_k mu_k^T] with len_k the block length: no derivative of
     the matrix square root enters, and zero or pinched increments need no
     special case.  For K = 0, D = 1 and Ising atoms this is
-    E tanh^2(sqrt(2 q) Z).
+    E tanh^2(sqrt(2 q) Z).  With psi_eval's tilt the Gibbs means are the
+    tilted ones and the result is the gradient of psi_eval(..., tilt).
     """
     node_sets, logw_sets, _ = _levels(q, quad)
-    const, atoms_t = _atom_terms(P1, q.final_value, None)
+    const, atoms_t = _atom_terms(P1, q.final_value, tilt)
     _, m = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q),
                       const, atoms_t, threads, moments=True)
     blocks = np.tensordot(np.exp(logw_sets[0]), m, axes=1)

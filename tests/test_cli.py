@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from hjparisi import QuadratureSpec, ising_measure, psi_grad
 from hjparisi.cli import main
+from hjparisi.paths import path_new
 
 
 def run_cli(args, capsys):
@@ -54,6 +56,33 @@ def test_psi_grad_payload(files, capsys):
     grad = json.loads(out)["result"]["gradient"]
     assert grad["zetas"] == [0.0, 0.5]
     assert grad["values"][0][0][0] < grad["values"][1][0][0]
+
+
+def test_psi_grad_budget_fallback(files, capsys):
+    # a D=2, K=2 path at 32 nodes exceeds the quadrature budget; the
+    # fallback options run psi_eval's sampled levels, as in psi eval
+    fr = files["dir"] / "fr.json"
+    fr.write_text(json.dumps({"D": 2, "terms": [{"family": "frobenius",
+                                                 "beta": 1.0}]}))
+    zetas = [0.0, 0.3, 0.6]
+    values = [[[0.1, 0.0], [0.0, 0.08]], [[0.25, 0.05], [0.05, 0.3]],
+              [[0.4, 0.05], [0.05, 0.45]]]
+    q22 = files["dir"] / "q22.json"
+    q22.write_text(json.dumps({"zetas": zetas, "values": values}))
+    args = ["psi", "grad", "--model", str(fr), "--path", str(q22)]
+    code, _, err = run_cli(args, capsys)
+    assert code == 1
+    assert "budget" in err
+    code, out, _ = run_cli(args + ["--mc-samples", "50", "--mc-seed", "3"],
+                           capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["mc_samples"] == 50
+    assert payload["config"]["mc_seed"] == 3
+    ref = psi_grad(ising_measure(2), path_new(zetas, values), QuadratureSpec(
+        nodes_per_dim=32, mc_fallback={"samples": 50, "seed": 3}))
+    np.testing.assert_allclose(payload["result"]["gradient"]["values"],
+                               np.asarray(ref.values), rtol=0, atol=1e-12)
 
 
 def test_crit_solve_zero_fixed_point(files, capsys):

@@ -16,6 +16,7 @@ from hjparisi import (
     sample_hamiltonian,
     sk,
 )
+from hjparisi import finiten
 from hjparisi.paths import path_new
 
 P1 = ising_measure(1)
@@ -111,6 +112,21 @@ def test_identity_checks_pass_on_small_instance():
     for name, check in report.checks.items():
         assert check.passed, (name, check)
     assert report.all_passed
+
+
+def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
+    # a D=2, K=2 path needs 32^6 > NODE_BUDGET quadrature nodes for check
+    # (d); the failure must come before any finite-N sample is drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo work ran before the budget check")
+
+    monkeypatch.setattr(finiten, "_log_z_samples", no_sampling)
+    q = path_new([0.0, 0.3, 0.6], [np.diag([0.1, 0.08]),
+                                   np.diag([0.25, 0.3]),
+                                   np.diag([0.4, 0.45])])
+    with pytest.raises(BudgetExceeded):
+        identity_checks(frobenius_square(1.0, 2), ising_measure(2), N=2,
+                        t=0.1, q=q, samples=20, seed=0, n_max=4)
 
 
 def test_identity_check_fields_are_plain_floats():

@@ -160,28 +160,30 @@ def test_psi_grad_two_block_values():
 
 
 def test_psi_grad_matches_central_difference_of_psi_eval():
-    # D=2, K=1 on a path with off-diagonal entries.  The exact gradient
-    # converges to grad psi, not to the derivative of the quadrature sum;
-    # at 24 nodes the two differ here by 5e-10, the O(h^2) error of the
-    # difference itself.
+    # D=2, K=1 on a path with off-diagonal entries, untilted and with a
+    # non-diagonal PSD tilt.  The exact gradient converges to grad psi,
+    # not to the derivative of the quadrature sum; at 24 nodes the two
+    # differ here by at most 5.1e-10 with or without the tilt, the O(h^2)
+    # error of the difference itself.
     from hjparisi.model import sym_basis
     p2 = ising_measure(2)
     q = path_new([0.0, 0.4],
                  [np.array([[0.20, 0.08], [0.08, 0.15]]),
                   np.array([[0.50, 0.15], [0.15, 0.45]])])
     quad = QuadratureSpec(nodes_per_dim=24)
-    got = psi_grad(p2, q, quad)
     h = 1e-4
-    for k, length in enumerate(q.lengths()):
-        fd = np.zeros((2, 2))
-        for b_mat in sym_basis(2):
-            vals = [np.array(q.values), np.array(q.values)]
-            vals[0][k] += h * b_mat
-            vals[1][k] -= h * b_mat
-            up, down = (psi_eval(p2, q.with_values(v), quad).value
-                        for v in vals)
-            fd += (up - down) / (2 * h * length) * b_mat
-        np.testing.assert_allclose(got.values[k], fd, atol=1e-7)
+    for tilt in (None, np.array([[0.3, 0.1], [0.1, 0.2]])):
+        got = psi_grad(p2, q, quad, tilt=tilt)
+        for k, length in enumerate(q.lengths()):
+            fd = np.zeros((2, 2))
+            for b_mat in sym_basis(2):
+                vals = [np.array(q.values), np.array(q.values)]
+                vals[0][k] += h * b_mat
+                vals[1][k] -= h * b_mat
+                up, down = (psi_eval(p2, q.with_values(v), quad,
+                                     tilt=tilt).value for v in vals)
+                fd += (up - down) / (2 * h * length) * b_mat
+            np.testing.assert_allclose(got.values[k], fd, atol=1e-7)
 
 
 def test_psi_grad_under_budget_fallback():
