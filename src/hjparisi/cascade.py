@@ -137,18 +137,25 @@ class CascadeField:
     @cached_property
     def all(self):
         """Field at every leaf, shape (n_leaves, D, N)."""
-        casc, q = self.cascade, self.q
-        total = np.zeros((casc.n_leaves, q.D, self.N))
-        for level in range(casc.K + 1):
-            n_nodes = casc.n_max ** level
-            z = node_rng(self.seed, 1, level).standard_normal(
-                (n_nodes, q.D, self.N))
-            contrib = np.einsum("de,neb->ndb", self._roots[level], z)
-            total += np.repeat(contrib, casc.n_leaves // n_nodes, axis=0)
-        return total
+        casc = self.cascade
+        return _leaf_field(self._roots, [
+            node_rng(self.seed, 1, level).standard_normal(
+                (casc.n_max ** level, self.q.D, self.N))
+            for level in range(casc.K + 1)])
 
     def leaf_field(self, leaf_index):
         return self.all[leaf_index]
+
+
+def _leaf_field(roots, zs):
+    """Field at every leaf, shape (n_leaves, D, N), from per-level node
+    Gaussians zs[l] of shape (n_max**l, D, N): each node's roots[l]-scaled
+    vector is added over its contiguous block of leaves."""
+    total = np.zeros(zs[-1].shape)
+    for root, z in zip(roots, zs):
+        blocks = total.reshape(len(z), -1, *z.shape[1:])
+        blocks += np.einsum("de,neb->ndb", root, z)[:, None]
+    return total
 
 
 def sample_field(cascade, q, N, seed) -> CascadeField:

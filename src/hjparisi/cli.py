@@ -399,8 +399,9 @@ def finiten_fe(model_path, path_path, t, that, n_spins, samples, nmax, seed,
               "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
     lines = ["# hjparisi-csv schema_version=%d config=%s"
              % (SCHEMA_VERSION, json.dumps(config, sort_keys=True)),
-             "estimate,stderr,n_samples",
-             "%r,%r,%d" % (est.mean, est.stderr, est.n_samples)]
+             "estimate,stderr,n_samples,truncation_ratio",
+             "%r,%r,%d,%r" % (est.mean, est.stderr, est.n_samples,
+                              est.truncation_ratio)]
     text = "\n".join(lines)
     if out:
         with open(out, "w") as fh:
@@ -431,6 +432,7 @@ def finiten_overlap(model_path, path_path, t, that, n_spins, samples, nmax,
         "cond_mean_stderr": law.cond_mean_stderr.tolist(),
         "max_abs_overlap": law.max_abs_overlap,
         "n_samples": law.n_samples,
+        "truncation_ratio": law.truncation_ratio,
     }
     if law.scalar_hist is not None:
         result["overlap_values"] = law.scalar_hist[0].tolist()

@@ -4,16 +4,21 @@ checks that tie them back to the one-body and variational layers.
 
 Spins are enumerated exactly (product measure over atom assignments) so
 the only randomness is the disorder, the truncated cascade, its field,
-and the optional coupling perturbation; every inner sum is exact.
+and the optional coupling perturbation; every inner sum is exact.  One
+sample loop draws it from streams keyed by the seed alone, so equal seeds
+give common random numbers, and applies a per-sample statistic to each
+draw: `identity_checks` reads all it compares from one pass per path, and
+free energies and overlap laws report the largest truncation ratio drawn.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import _grow_log_weights
+from .cascade import _grow_log_weights, _leaf_field
 from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval, xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
@@ -115,6 +120,10 @@ class McEstimate:
     stderr: float
     n_samples: int
     seed: int
+    truncation_ratio: float = 0.0
+
+
+_Draw = namedtuple("_Draw", "h_vals leaf_logw cross hat_vals ratio")
 
 
 class _Session:
@@ -142,59 +151,55 @@ class _Session:
         self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
                                  self.overlap_self)
 
-    def draw(self, rng, t, t_hat, need_parts=False):
-        """Exponent matrix (n_cfg, L) for one draw of all randomness.
-
-        With need_parts, returns the pieces so several (t, t_hat) values
-        can be reassembled with common random numbers.
-        """
-        N, L, D, K = self.N, self.L, self.D, self.K
+    def draw(self, rng):
+        """The parts of one draw of all randomness: Hamiltonian values per
+        config, leaf log-weights, the config-leaf field term, the coupling
+        perturbation per config, and the cascade's truncation ratio."""
+        N, D, K = self.N, self.D, self.K
         ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
         h_vals = ham.evaluate(self.x_flat)
         if K > 0:
-            leaf_logw, _ = _grow_log_weights(self.zi, self.n_max, rng)
+            leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
         else:
-            leaf_logw = np.zeros(1)
-        w_field = np.zeros((L, D, N))
-        for level in range(K + 1):
-            z = rng.standard_normal((self.n_max ** level, D, N))
-            contrib = np.einsum("de,neb->ndb", self.roots[level], z)
-            w_field += np.repeat(contrib, L // self.n_max ** level, axis=0)
-        cross = self.x_flat @ w_field.reshape(L, D * N).T    # (n_cfg, L)
+            leaf_logw, ratio = np.zeros(1), 0.0
+        w_field = _leaf_field(self.roots, [
+            rng.standard_normal((self.n_max ** level, D, N))
+            for level in range(K + 1)])
+        cross = self.x_flat @ w_field.reshape(self.L, D * N).T  # (n_cfg, L)
         w_hat = rng.standard_normal((N, N))
         hat_vals = np.einsum("cdi,cdj,ij->c", self.x3, self.x3,
                              w_hat) / np.sqrt(N)
-        parts = (h_vals, leaf_logw, cross, hat_vals)
-        if need_parts:
-            return parts
-        return self.assemble(parts, t, t_hat)
+        return _Draw(h_vals, leaf_logw, cross, hat_vals, ratio)
 
     def assemble(self, parts, t, t_hat):
-        h_vals, leaf_logw, cross, hat_vals = parts
-        base = (self.logw_cfg + np.sqrt(2.0 * t) * h_vals
+        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat)."""
+        base = (self.logw_cfg + np.sqrt(2.0 * t) * parts.h_vals
                 - t * self.N * self.xi_self - self.qk_term
                 - t_hat * self.N * self.sq_self
-                + np.sqrt(2.0 * t_hat) * hat_vals)
-        return base[:, None] + leaf_logw[None, :] + np.sqrt(2.0) * cross
+                + np.sqrt(2.0 * t_hat) * parts.hat_vals)
+        return (base[:, None] + parts.leaf_logw[None, :]
+                + np.sqrt(2.0) * parts.cross)
 
 
-def _log_z_samples(session, t_values, t_hat, samples, seed, threads):
-    """Per-sample log partition values for each requested t (CRN)."""
+def _crn_samples(session, stat, samples, seed, threads):
+    """stat(parts) of `samples` draws of session, in sample order, and the
+    largest truncation ratio drawn.  Each 16-sample chunk has its own
+    stream keyed by (seed, chunk start), so sessions run with one seed
+    share common random numbers at any thread count."""
     chunk = 16
-    starts = list(range(0, samples, chunk))
 
     def one_chunk(s0):
         rng = node_rng(seed, 5, s0)
-        count = min(chunk, samples - s0)
-        out = np.empty((len(t_values), count))
-        for i in range(count):
-            parts = session.draw(rng, None, None, need_parts=True)
-            for j, t in enumerate(t_values):
-                out[j, i] = logsumexp(session.assemble(parts, t, t_hat))
-        return out
+        stats, ratio = [], 0.0
+        for _ in range(min(chunk, samples - s0)):
+            parts = session.draw(rng)
+            ratio = max(ratio, parts.ratio)
+            stats.append(stat(parts))
+        return stats, ratio
 
-    blocks = chunked_thread_map(one_chunk, starts, threads)
-    return np.concatenate(blocks, axis=1)
+    blocks = chunked_thread_map(one_chunk, range(0, samples, chunk), threads)
+    return ([v for stats, _ in blocks for v in stats],
+            max(ratio for _, ratio in blocks))
 
 
 def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
@@ -210,11 +215,13 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     session = _Session(model, P1, N, q, n_max)
-    logz = _log_z_samples(session, [t], t_hat, samples, seed, threads)[0]
-    vals = -logz / N
+    logz, ratio = _crn_samples(
+        session, lambda parts: logsumexp(session.assemble(parts, t, t_hat)),
+        samples, seed, threads)
+    vals = -np.array(logz) / N
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / np.sqrt(samples)),
-                      int(samples), int(seed))
+                      int(samples), int(seed), ratio)
 
 
 @dataclass(frozen=True)
@@ -228,6 +235,7 @@ class OverlapLaw:
     max_abs_overlap: float
     n_samples: int
     seed: int
+    truncation_ratio: float = 0.0
 
 
 def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
@@ -251,48 +259,39 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
         r_pair = (session.x_flat @ session.x_flat.T) / N_sp
         r_values = np.unique(np.round(r_pair, 12))
         r_index = np.searchsorted(r_values, np.round(r_pair, 12)).ravel()
-    chunk = 16
-    starts = list(range(0, samples, chunk))
 
-    def one_chunk(s0):
-        rng = node_rng(seed, 5, s0)
-        count = min(chunk, samples - s0)
-        mass = np.zeros((count, K + 1))
-        moment = np.zeros((count, K + 1, D, D))
-        hist = np.zeros((K + 1, len(r_values))) if scalar else None
-        for i in range(count):
-            expo = session.draw(rng, t, t_hat)
-            g = np.exp(expo - logsumexp(expo))       # (n_cfg, L)
-            # tier sums: per node at level j, total mass and spin vector
-            share_mass = np.empty(K + 2)
-            share_mom = np.empty((K + 2, D, D))
-            pair_mats = []
-            for j in range(K + 1):
-                nodes = session.n_max ** j
-                gj = g.reshape(n_cfg, nodes, -1).sum(axis=2)   # (n_cfg, nodes)
-                tvec = gj.T @ session.x_flat                   # (nodes, D*N)
-                tv3 = tvec.reshape(nodes, D, N_sp)
-                share_mass[j] = float(np.sum(gj.sum(axis=0) ** 2))
-                share_mom[j] = np.einsum("bdn,ben->de", tv3, tv3)
-                if scalar:
-                    pair_mats.append(gj)
-            share_mass[K + 1] = 0.0
-            share_mom[K + 1] = 0.0
-            mass[i] = share_mass[:K + 1] - share_mass[1:]
-            moment[i] = (share_mom[:K + 1] - share_mom[1:]) / N_sp
+    def stat(parts):
+        expo = session.assemble(parts, t, t_hat)
+        g = np.exp(expo - logsumexp(expo))       # (n_cfg, L)
+        # tier sums: per node at level j, total mass and spin vector
+        share_mass = np.zeros(K + 2)
+        share_mom = np.zeros((K + 2, D, D))
+        pair_mats = []
+        for j in range(K + 1):
+            nodes = session.n_max ** j
+            gj = g.reshape(n_cfg, nodes, -1).sum(axis=2)   # (n_cfg, nodes)
+            tvec = gj.T @ session.x_flat                   # (nodes, D*N)
+            tv3 = tvec.reshape(nodes, D, N_sp)
+            share_mass[j] = float(np.sum(gj.sum(axis=0) ** 2))
+            share_mom[j] = np.einsum("bdn,ben->de", tv3, tv3)
             if scalar:
-                prev = None
-                for j in range(K, -1, -1):
-                    pm = pair_mats[j] @ pair_mats[j].T
-                    exact = pm if prev is None else pm - prev
-                    hist[j] += np.bincount(r_index, weights=exact.ravel(),
-                                           minlength=len(r_values))
-                    prev = pm
-        return mass, moment, hist
+                pair_mats.append(gj)
+        hist = None
+        if scalar:
+            hist = np.zeros((K + 1, len(r_values)))
+            prev = None
+            for j in range(K, -1, -1):
+                pm = pair_mats[j] @ pair_mats[j].T
+                exact = pm if prev is None else pm - prev
+                hist[j] = np.bincount(r_index, weights=exact.ravel(),
+                                      minlength=len(r_values))
+                prev = pm
+        return (share_mass[:K + 1] - share_mass[1:],
+                (share_mom[:K + 1] - share_mom[1:]) / N_sp, hist)
 
-    results = chunked_thread_map(one_chunk, starts, threads)
-    mass = np.concatenate([r[0] for r in results])
-    moment = np.concatenate([r[1] for r in results])
+    results, ratio = _crn_samples(session, stat, samples, seed, threads)
+    mass = np.array([r[0] for r in results])
+    moment = np.array([r[1] for r in results])
     n = len(mass)
     level_mass = mass.mean(axis=0)
     mass_se = mass.std(axis=0, ddof=1) / np.sqrt(n)
@@ -300,14 +299,12 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     cond = moment.mean(axis=0) / denom[:, None, None]
     per_sample_cond = moment / np.where(mass > 0, mass, 1.0)[:, :, None, None]
     cond_se = per_sample_cond.std(axis=0, ddof=1) / np.sqrt(n)
-    hist = None
-    if scalar:
-        total_hist = sum(r[2] for r in results) / n
-        hist = (r_values, total_hist)
-    N_ = session.N
-    max_abs = float(np.max(np.abs(session.x_flat @ session.x_flat.T))) / N_
+    hist = (r_values, sum(r[2] for r in results) / n) if scalar else None
+    # |x_c . x_c'| <= |x_c| |x_c'| (Cauchy-Schwarz), with equality for the
+    # config that puts the largest-norm atom at every site
+    max_abs = float(np.max(np.sum(P1.atoms ** 2, axis=1)))
     return OverlapLaw(np.arange(K + 1), level_mass, mass_se, cond, cond_se,
-                      hist, max_abs, int(n), int(seed))
+                      hist, max_abs, int(n), int(seed), ratio)
 
 
 @dataclass(frozen=True)
@@ -356,21 +353,42 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
 
     All comparisons reuse common random numbers across the compared
     parameter values, so the Monte Carlo error of each difference is the
-    per-sample spread of the difference itself.  Every session truncates
-    its cascade at n_max atoms per node.
+    per-sample spread of the difference itself; each path's session is
+    drawn in one pass.  Every session truncates its cascade at n_max
+    atoms per node.
     """
     # check (d)'s psi first: past the quadrature budget, fail before sampling
     psi = psi_eval(P1, q, QuadratureSpec()).value
     session = _Session(model, P1, N, q, n_max)
+    h = 0.02 * max(t, 0.25)
+    t_lo = max(t - h, 0.0)
+
+    def crn(sess, stat):
+        return np.array(_crn_samples(sess, stat, samples, seed, threads)[0])
+
+    def log_z(sess, s):
+        return crn(sess, lambda parts: logsumexp(sess.assemble(parts, s, 0.0)))
+
+    def main_stat(parts):
+        # log Z at t, t_lo, t + h and 0, then the Gibbs xi moment at t:
+        # replicas are conditionally independent given the randomness, so
+        # the pair expectation factors through the config marginals
+        expo = session.assemble(parts, t, 0.0)
+        lz_t = logsumexp(expo)
+        g = np.exp(expo - lz_t).sum(axis=1)           # (n_cfg,)
+        lz = [logsumexp(session.assemble(parts, s, 0.0))
+              for s in (t_lo, t + h, 0.0)]
+        return [lz_t, *lz, _xi_pair_moment(session, g)]
+
+    lz_t, lz_down, lz_up, lz0, gibbs = crn(session, main_stat).T
+    lz, lz0 = lz_t / N, lz0 / N
     checks = {}
 
     # (a) Lipschitz in (t, q)
     q_alt = q.with_values([0.85 * v for v in q.values])
     t_alt = t + 0.05
     session_alt = _Session(model, P1, N, q_alt, n_max)
-    lz = _log_z_samples(session, [t], 0.0, samples, seed, threads)[0] / N
-    lz_alt = _log_z_samples(session_alt, [t_alt], 0.0, samples, seed,
-                            threads)[0] / N
+    lz_alt = log_z(session_alt, t_alt) / N
     diff = -(lz.mean() - lz_alt.mean())
     sig = float((lz - lz_alt).std(ddof=1) / np.sqrt(samples))
     bound = lp_distance(q, q_alt, 1) + abs(t - t_alt) * _xi_sup_unit(model)
@@ -378,12 +396,7 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
                                       abs(diff), bound, sig)
 
     # (b) t-derivative vs Gibbs overlap moment
-    h = 0.02 * max(t, 0.25)
-    t_lo = max(t - h, 0.0)
-    lz3 = _log_z_samples(session, [t_lo, t, t + h], 0.0, samples, seed,
-                         threads)
-    fd = -(lz3[2] - lz3[0]) / (N * (t + h - t_lo))
-    gibbs = _gibbs_xi_moment(session, t, samples, seed, threads)
+    fd = -(lz_up - lz_down) / (N * (t + h - t_lo))
     lhs, rhs = float(fd.mean()), float(gibbs.mean())
     sig = float(np.sqrt(fd.std(ddof=1) ** 2 / samples
                         + gibbs.std(ddof=1) ** 2 / samples))
@@ -393,40 +406,17 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     # (c) monotonicity along the dual cone
     q_lo = q.with_values([0.7 * v for v in q.values])
     session_lo = _Session(model, P1, N, q_lo, n_max)
-    lz_lo = _log_z_samples(session_lo, [t], 0.0, samples, seed, threads)[0] / N
+    lz_lo = log_z(session_lo, t) / N
     dmono = -(lz.mean() - lz_lo.mean())
     sig = float((lz - lz_lo).std(ddof=1) / np.sqrt(samples))
     checks["monotone"] = CheckResult(dmono >= -3 * sig, dmono, 0.0, sig,
                                      note="F(t,q) - F(t,q_lower)")
 
     # (d) initial condition at t = 0
-    lz0 = _log_z_samples(session, [0.0], 0.0, samples, seed, threads)[0] / N
     sig = float(lz0.std(ddof=1) / np.sqrt(samples))
     checks["initial"] = CheckResult(abs(-lz0.mean() - psi) <= 3 * sig,
                                     float(-lz0.mean()), psi, sig)
     return IdentityReport(checks)
-
-
-def _gibbs_xi_moment(session, t, samples, seed, threads):
-    """Per-sample exact Gibbs expectation of xi(overlap of two replicas).
-
-    Replicas are conditionally independent given the randomness, so the
-    pair expectation factors through the leaf-marginal config weights.
-    """
-    chunk = 16
-    starts = list(range(0, samples, chunk))
-
-    def one_chunk(s0):
-        rng = node_rng(seed, 5, s0)
-        count = min(chunk, samples - s0)
-        out = np.empty(count)
-        for i in range(count):
-            expo = session.draw(rng, t, 0.0)
-            g = np.exp(expo - logsumexp(expo)).sum(axis=1)   # (n_cfg,)
-            out[i] = _xi_pair_moment(session, g)
-        return out
-
-    return np.concatenate(chunked_thread_map(one_chunk, starts, threads))
 
 
 def _xi_pair_moment(session, g):
@@ -435,13 +425,9 @@ def _xi_pair_moment(session, g):
     x3 = session.x3
     total = 0.0
     for p, c in model.terms:
-        q_t = g.copy()                       # start: (n_cfg,)
-        shape_d, shape_i = [], []
-        arr = q_t
+        arr = g                              # start: (n_cfg,)
         for _ in range(p):
             arr = np.einsum("c...,cdn->c...dn", arr, x3)
-            shape_d.append(D)
-            shape_i.append(N)
         # arr axes: (c, d1, n1, d2, n2, ...); sum over c then regroup
         arr = arr.sum(axis=0)
         perm = [2 * k for k in range(p)] + [2 * k + 1 for k in range(p)]

@@ -15,7 +15,7 @@ from hjparisi import (
     ultrametric_tree,
 )
 from hjparisi.cascade import _grow_log_weights
-from hjparisi.paths import path_new
+from hjparisi.paths import path_new, sqrt_increments
 from hjparisi.util import node_rng
 
 
@@ -122,6 +122,23 @@ def test_field_prefix_agreement_across_truncation():
     f_small = sample_field(sample_cascade([0.35], 2, seed=2), q, N=5, seed=8)
     f_big = sample_field(sample_cascade([0.35], 4, seed=2), q, N=5, seed=8)
     np.testing.assert_allclose(f_small.all[:2], f_big.all[:2])
+
+
+def test_field_is_the_ancestry_sum_of_node_vectors():
+    # D=2, K=2, n_max=3: leaf i's ancestor at level l is node i // 3**(2-l)
+    c = sample_cascade([0.3, 0.6], n_max=3, seed=4)
+    q = path_new([0.0, 0.3, 0.6], [np.diag([0.1, 0.05]),
+                                   [[0.3, 0.1], [0.1, 0.2]],
+                                   [[0.5, 0.1], [0.1, 0.45]]])
+    roots = sqrt_increments(q)
+    z = [node_rng(7, 1, level).standard_normal((3 ** level, 2, 4))
+         for level in range(3)]
+    leaf = np.arange(9)
+    expected = sum(np.einsum("de,neb->ndb", roots[l],
+                             z[l][leaf // 3 ** (2 - l)]) for l in range(3))
+    got = sample_field(c, q, N=4, seed=7).all
+    assert got.shape == (9, 2, 4)
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
 
 
 def test_ultrametric_tree_roundtrip():

@@ -186,10 +186,11 @@ def test_finiten_fe_csv_and_thread_invariance(files, capsys):
     assert code1 == code4 == 0
     assert out1 == out4
     lines = out1.strip().splitlines()
-    assert lines[1] == "estimate,stderr,n_samples"
-    est, stderr, n = lines[2].split(",")
+    assert lines[1] == "estimate,stderr,n_samples,truncation_ratio"
+    est, stderr, n, ratio = lines[2].split(",")
     assert float(stderr) > 0.0
     assert int(n) == 200
+    assert float(ratio) > 0.0
 
 
 def test_finiten_overlap_histogram(files, capsys):
@@ -202,6 +203,7 @@ def test_finiten_overlap_histogram(files, capsys):
     assert sum(res["level_mass"]) == pytest.approx(1.0)
     assert "overlap_values" in res and "joint_mass" in res
     assert len(res["joint_mass"]) == len(res["level_mass"])
+    assert res["truncation_ratio"] > 0.0
 
 
 def test_finiten_check_passes(files, capsys):

@@ -17,6 +17,7 @@ from hjparisi import (
     sk,
 )
 from hjparisi import finiten
+from hjparisi.model import ReferenceMeasure
 from hjparisi.paths import path_new
 
 P1 = ising_measure(1)
@@ -114,13 +115,59 @@ def test_identity_checks_pass_on_small_instance():
     assert report.all_passed
 
 
+def test_identity_checks_draw_each_session_once(monkeypatch):
+    # one pass over the main session serves checks (a), (b) and (d); the
+    # shifted and lowered paths take one pass each
+    calls = []
+    draw = finiten._Session.draw
+
+    def counted(session, *args, **kwargs):
+        calls.append(session)
+        return draw(session, *args, **kwargs)
+
+    monkeypatch.setattr(finiten._Session, "draw", counted)
+    identity_checks(sk(1.0), P1, N=3, t=0.1, q=Q2, samples=20, seed=2,
+                    n_max=8)
+    assert len(calls) == 3 * 20
+    assert len(set(map(id, calls))) == 3
+
+
+def test_truncation_ratio_is_reported_and_thread_invariant():
+    q0 = scalar_path([0.0], [0.3])
+    est = free_energy_mc(sk(1.0), P1, 3, 0.1, q0, 0.0, 40, 8, seed=5)
+    law = gibbs_overlap_law(sk(1.0), P1, 3, 0.1, q0, 0.0, 40, 8, seed=5)
+    assert est.truncation_ratio == law.truncation_ratio == 0.0
+    # both estimators run the same draws, so they see the same cascades
+    ratios = [f(sk(1.0), P1, 3, 0.1, Q2, 0.0, 40, 8, seed=5,
+                threads=threads).truncation_ratio
+              for f in (free_energy_mc, gibbs_overlap_law)
+              for threads in (1, 2)]
+    assert ratios[0] > 0.0
+    assert ratios == [ratios[0]] * 4
+
+
+def test_max_abs_overlap_is_the_largest_pair_overlap():
+    # D=2 atoms of unequal norm: the bound |x_c . x_c'| <= |x_c| |x_c'| is
+    # met by the config that puts the longest atom at every site
+    atoms = np.array([[0.6, 0.3], [-0.2, 0.5], [0.1, -0.9]])
+    P = ReferenceMeasure(atoms, np.array([0.5, 0.3, 0.2]))
+    q = path_new([0.0], [0.05 * np.eye(2)])
+    N = 3
+    law = gibbs_overlap_law(frobenius_square(1.0, 2), P, N=N, t=0.1, q=q,
+                            t_hat=0.0, samples=4, n_max=4, seed=0)
+    x_flat = finiten._enumerate_configs(P, N)[0]
+    brute = float(np.max(np.abs(x_flat @ x_flat.T))) / N
+    assert law.max_abs_overlap == pytest.approx(brute, abs=1e-12)
+    assert law.max_abs_overlap == pytest.approx(0.82, abs=1e-12)
+
+
 def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
     # a D=2, K=2 path needs 32^6 > NODE_BUDGET quadrature nodes for check
     # (d); the failure must come before any finite-N sample is drawn
     def no_sampling(*args, **kwargs):
         raise AssertionError("Monte Carlo work ran before the budget check")
 
-    monkeypatch.setattr(finiten, "_log_z_samples", no_sampling)
+    monkeypatch.setattr(finiten._Session, "draw", no_sampling)
     q = path_new([0.0, 0.3, 0.6], [np.diag([0.1, 0.08]),
                                    np.diag([0.25, 0.3]),
                                    np.diag([0.4, 0.45])])
