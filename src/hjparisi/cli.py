@@ -23,7 +23,6 @@ from . import onebody as ob
 from . import variational as var
 from .errors import NonConvergence, ValidationError
 from .paths import path_from_json_dict, path_to_json_dict
-from .util import resolve_threads
 
 SCHEMA_VERSION = 1
 
@@ -55,12 +54,21 @@ def _load_path(path):
     return path_from_json_dict(_load_json(path))
 
 
-def _emit(payload, out):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     click.echo(text)
+
+
+def _emit(payload, out):
+    _write(json.dumps(payload, indent=2, sort_keys=True), out)
+
+
+def _emit_csv(config, header, rows, out):
+    _write("\n".join(["# hjparisi-csv schema_version=%d config=%s"
+                      % (SCHEMA_VERSION, json.dumps(config, sort_keys=True)),
+                      header] + rows), out)
 
 
 def _payload(config, result):
@@ -140,7 +148,7 @@ def psi_eval_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
     _, p1 = _load_model(model_path)
     q = _load_path(path_path)
     res = ob.psi_eval(p1, q, _quad(nodes, mc_samples, mc_seed),
-                      threads=resolve_threads(threads))
+                      threads=threads)
     config = {"model": model_path, "path": path_path, "nodes": nodes,
               "mc_samples": mc_samples, "mc_seed": mc_seed}
     _emit(_payload(config, {"value": res.value, "method": res.method,
@@ -161,7 +169,7 @@ def psi_grad_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
     _, p1 = _load_model(model_path)
     q = _load_path(path_path)
     g = ob.psi_grad(p1, q, _quad(nodes, mc_samples, mc_seed),
-                    threads=resolve_threads(threads))
+                    threads=threads)
     config = {"model": model_path, "path": path_path, "nodes": nodes,
               "mc_samples": mc_samples, "mc_seed": mc_seed}
     _emit(_payload(config, {"gradient": path_to_json_dict(g)}), out)
@@ -200,7 +208,7 @@ def crit_solve(model_path, path_path, t, that, tol, damping, max_iters,
         q = _split_blocks(q)
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
     res = cp.solve_critical(m, p1, t, that, q, opts, _quad(nodes, None, 0),
-                            threads=resolve_threads(threads))
+                            threads=threads)
     config = {"model": model_path, "path": path_path, "t": t, "that": that,
               "tol": tol, "damping": damping, "max_iters": max_iters,
               "refine": refine, "nodes": nodes}
@@ -239,27 +247,23 @@ def crit_sweep(model_path, path_path, t_grid, that, tol, damping, max_iters,
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
     points = cp.continuation(m, p1, grid, that, q, opts,
                              _quad(nodes, None, 0),
-                             threads=resolve_threads(threads))
+                             threads=threads)
     config = {"model": model_path, "path": path_path, "t_grid": grid,
               "that": that, "tol": tol, "damping": damping,
               "max_iters": max_iters, "nodes": nodes}
-    lines = ["# hjparisi-csv schema_version=%d config=%s"
-             % (SCHEMA_VERSION, json.dumps(config, sort_keys=True)),
-             "t,j_value,residual_l2,iterations,converged,jump_from_prev"]
+    rows = []
     prev = None
     for c in points:
         jump = ""
         if prev is not None:
             jump = repr(float(cp.block_norm_l2(
                 cp._diff_path(c.p, prev.p))))
-        lines.append("%r,%r,%r,%d,%s,%s" % (c.t, c.j_value, c.residual_l2,
-                                            c.iterations, c.converged, jump))
+        rows.append("%r,%r,%r,%d,%s,%s" % (c.t, c.j_value, c.residual_l2,
+                                           c.iterations, c.converged, jump))
         prev = c
-    text = "\n".join(lines)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    click.echo(text)
+    _emit_csv(config,
+              "t,j_value,residual_l2,iterations,converged,jump_from_prev",
+              rows, out)
 
 
 @cli.group()
@@ -284,7 +288,7 @@ def parisi_sup_cmd(model_path, path_path, t, partition, nodes, threads, out):
         part = [float(x) for x in partition.split(",")]
     res = var.parisi_sup(m, p1, t, q, partition=part,
                          quad=_quad(nodes, None, 0),
-                         threads=resolve_threads(threads))
+                         threads=threads)
     config = {"model": model_path, "path": path_path, "t": t,
               "partition": part, "nodes": nodes}
     _emit(_payload(config, {
@@ -304,7 +308,7 @@ def parisi_hopflax(model_path, path_path, t, nodes, threads, out):
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
     value = var.hopf_lax_value(m, p1, t, q, quad=_quad(nodes, None, 0),
-                               threads=resolve_threads(threads))
+                               threads=threads)
     config = {"model": model_path, "path": path_path, "t": t, "nodes": nodes}
     _emit(_payload(config, {"value": value}), out)
 
@@ -317,7 +321,7 @@ def parisi_hopflax(model_path, path_path, t, nodes, threads, out):
 def parisi_std_cmd(model_path, nodes, threads, out):
     m, p1 = _load_model(model_path)
     value = var.parisi_std(m, p1, quad=_quad(nodes, None, 0),
-                           threads=resolve_threads(threads))
+                           threads=threads)
     config = {"model": model_path, "nodes": nodes}
     _emit(_payload(config, {"value": value}), out)
 
@@ -394,19 +398,12 @@ def finiten_fe(model_path, path_path, t, that, n_spins, samples, nmax, seed,
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
     est = fn.free_energy_mc(m, p1, n_spins, t, q, that, samples, nmax, seed,
-                            threads=resolve_threads(threads))
+                            threads=threads)
     config = {"model": model_path, "path": path_path, "t": t, "that": that,
               "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
-    lines = ["# hjparisi-csv schema_version=%d config=%s"
-             % (SCHEMA_VERSION, json.dumps(config, sort_keys=True)),
-             "estimate,stderr,n_samples,truncation_ratio",
-             "%r,%r,%d,%r" % (est.mean, est.stderr, est.n_samples,
-                              est.truncation_ratio)]
-    text = "\n".join(lines)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    click.echo(text)
+    _emit_csv(config, "estimate,stderr,n_samples,truncation_ratio",
+              ["%r,%r,%d,%r" % (est.mean, est.stderr, est.n_samples,
+                                est.truncation_ratio)], out)
 
 
 @finiten_group.command("overlap")
@@ -420,7 +417,7 @@ def finiten_overlap(model_path, path_path, t, that, n_spins, samples, nmax,
     q = _load_path(path_path)
     law = fn.gibbs_overlap_law(m, p1, n_spins, t, q, that, samples, nmax,
                                seed, with_histogram=histogram,
-                               threads=resolve_threads(threads))
+                               threads=threads)
     config = {"model": model_path, "path": path_path, "t": t, "that": that,
               "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed,
               "histogram": histogram}
@@ -452,7 +449,7 @@ def finiten_check(model_path, path_path, t, that, n_spins, samples, nmax,
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
     report = fn.identity_checks(m, p1, n_spins, t, q, samples, seed,
-                                n_max=nmax, threads=resolve_threads(threads))
+                                n_max=nmax, threads=threads)
     config = {"model": model_path, "path": path_path, "t": t, "that": that,
               "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
     result = {name: {"passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,

@@ -30,10 +30,6 @@ class NotUltrametric(ValidationError):
         self.triple = triple
 
 
-class Singular(ValidationError):
-    """A matrix that must be positive definite is not."""
-
-
 class BudgetExceeded(ValidationError):
     """A deterministic evaluation would exceed its configured budget."""
 

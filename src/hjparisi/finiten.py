@@ -248,6 +248,8 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     scalar-overlap histogram (D=1 only) costs a configuration-pair
     matmul per level and is opt-in.
     """
+    if samples < 2:
+        raise ValidationError("samples must be >= 2")
     session = _Session(model, P1, N, q, n_max)
     K, D, n_cfg, N_sp = session.K, session.D, session.n_cfg, session.N
     scalar = with_histogram and D == 1
@@ -357,6 +359,8 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     drawn in one pass.  Every session truncates its cascade at n_max
     atoms per node.
     """
+    if samples < 2:
+        raise ValidationError("samples must be >= 2")
     # check (d)'s psi first: past the quadrature budget, fail before sampling
     psi = psi_eval(P1, q, QuadratureSpec()).value
     session = _Session(model, P1, N, q, n_max)

@@ -11,11 +11,12 @@ from __future__ import annotations
 import string
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NonConvergence, ValidationError
-from .util import frob, project_psd, sym
+from .util import _Ascent, _monotone_project, frob, sym
 
 MAX_DEGREE = 4
 MAX_DIM = 4
@@ -51,6 +52,11 @@ class XiModel:
 
     def degrees(self):
         return [p for p, _ in self.terms]
+
+    @cached_property
+    def convexity(self):
+        """convexity_probe(self, samples=64, seed=0), run once per model."""
+        return convexity_probe(self, samples=64, seed=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,14 +201,6 @@ def _hess_opnorm_sym(model, a, basis):
     return float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))))
 
 
-def _project_ball_psd(a, radius=1.0):
-    b = project_psd(a)
-    nb = frob(b)
-    if nb > radius:
-        b = b * (radius / nb)
-    return b
-
-
 def grad_lipschitz_const(model, samples=200, seed=0) -> float:
     """Lipschitz constant of grad xi on the PSD unit ball.
 
@@ -235,7 +233,7 @@ def grad_lipschitz_const(model, samples=200, seed=0) -> float:
         improved = False
         for d in dirs:
             for sgn in (1.0, -1.0):
-                cand = _project_ball_psd(a + sgn * step * d)
+                cand = _monotone_project([a + sgn * step * d], 1.0)[0]
                 v = _hess_opnorm_sym(model, cand, basis)
                 if v > best + 1e-14:
                     best, a, improved = v, cand, True
@@ -246,8 +244,8 @@ def grad_lipschitz_const(model, samples=200, seed=0) -> float:
     for _ in range(samples):
         m1 = rng.standard_normal((model.D, model.D))
         m2 = rng.standard_normal((model.D, model.D))
-        x = _project_ball_psd(m1 @ m1.T)
-        y = _project_ball_psd(m2 @ m2.T)
+        x = _monotone_project([m1 @ m1.T], 1.0)[0]
+        y = _monotone_project([m2 @ m2.T], 1.0)[0]
         den = frob(x - y)
         if den > 1e-9:
             ratio = frob(xi_grad(model, x) - xi_grad(model, y)) / den
@@ -263,63 +261,47 @@ def grad_lipschitz_upper_bound(model) -> float:
     return total
 
 
-def xi_star(model, a, radius, starts=8, tol=1e-8, max_iters=400, seed=0,
-            x0=None, return_argmax=False):
+def xi_star(model, a, radius, x0=None, return_argmax=False):
     """Convex dual sup over PSD b with |b| <= radius of a.b - xi(b).
 
-    Projected gradient ascent with backtracking and multiple starts.  The
-    projection onto the PSD cone intersected with the Frobenius ball is
-    eigenvalue clipping followed by radial scaling.  Raises NonConvergence
-    if no run meets the first-order tolerance.  With return_argmax the
-    best maximizer is returned alongside the value (handy as a warm start
-    for repeated nearby calls via x0).
+    The shared projected-gradient ascent util._Ascent on one block with
+    norm cap radius, whose projection onto the PSD cone intersected with
+    the Frobenius ball is eigenvalue clipping followed by radial scaling.
+    On a model that passes its convexity probe the objective is concave,
+    so one start (x0, else 0) suffices; otherwise every start climbs to
+    convergence and the best value wins, ties to the earlier start.  The
+    gradient is exact, so the first-order tolerance is 1e-9 rather than
+    the quadrature-limited default, at which flat maxima on the PSD
+    boundary leave the argmax 4e-7 short.  Raises NonConvergence if no
+    run meets it.  With return_argmax the best maximizer is returned
+    alongside the value (handy as a warm start for repeated nearby calls
+    via x0).
     """
     if radius <= 0.0:
         raise ValidationError("radius must be positive")
     a = sym(np.asarray(a, dtype=float).reshape(model.D, model.D))
-    rng = np.random.default_rng(seed)
-    inits = []
-    if x0 is not None:
-        inits.append(_project_ball_psd(np.asarray(x0, dtype=float), radius))
-    inits += [np.zeros_like(a),
-              _project_ball_psd(a, radius),
-              _project_ball_psd(0.25 * radius * np.eye(model.D), radius)]
-    while len(inits) < starts + (1 if x0 is not None else 0):
-        m = rng.standard_normal((model.D, model.D))
-        inits.append(_project_ball_psd(m @ m.T, radius))
 
-    def value(b):
-        return float(np.sum(a * b)) - xi_eval(model, b)
+    def objective(blocks):
+        b = blocks[0]
+        return (float(np.sum(a * b)) - xi_eval(model, b),
+                lambda: [a - xi_grad(model, b)])
 
-    best_val, best_arg, converged = -np.inf, inits[0], False
-    for b in inits:
-        step = 0.5
-        fb = value(b)
-        for _ in range(max_iters):
-            g = a - xi_grad(model, b)
-            probe = 1e-3
-            pg = frob(b - _project_ball_psd(b + probe * g, radius)) / probe
-            if pg <= tol:
-                converged = True
-                break
-            moved = False
-            while step > 1e-14:
-                cand = _project_ball_psd(b + step * g, radius)
-                fc = value(cand)
-                if fc >= fb + 1e-4 * float(np.sum(g * (cand - b))):
-                    b, fb, moved = cand, fc, True
-                    step = min(step * 1.5, 8.0)
-                    break
-                step *= 0.5
-            if not moved:
-                break
-        if fb > best_val:
-            best_val, best_arg = fb, b
-    if not converged:
+    inits = [] if x0 is None else [np.asarray(x0, dtype=float)]
+    inits += [np.zeros_like(a), a, 0.25 * radius * np.eye(model.D)]
+    if model.convexity.is_convex_on_psd:
+        inits = inits[:1]
+    else:
+        gauss = np.random.default_rng(0).standard_normal((5, model.D, model.D))
+        inits += [m @ m.T for m in gauss]
+    runs = [_Ascent(objective, radius, [1.0], [b], tol=1e-9) for b in inits]
+    for run in runs:
+        run.run(400)
+    if not any(run.done for run in runs):
         raise NonConvergence("xi_star ascent did not meet first-order tolerance")
+    best = max(runs, key=lambda run: run.value)
     if return_argmax:
-        return best_val, best_arg
-    return best_val
+        return best.value, best.blocks[0]
+    return best.value
 
 
 @dataclass(frozen=True)
@@ -340,8 +322,8 @@ def convexity_probe(model, samples=500, seed=0) -> ConvexityReport:
     for _ in range(samples):
         m1 = rng.standard_normal((model.D, model.D))
         m2 = rng.standard_normal((model.D, model.D))
-        a = _project_ball_psd(m1 @ m1.T)
-        b = _project_ball_psd(m2 @ m2.T)
+        a = _monotone_project([m1 @ m1.T], 1.0)[0]
+        b = _monotone_project([m2 @ m2.T], 1.0)[0]
         fa, fb = xi_eval(model, a), xi_eval(model, b)
         for lam in (0.25, 0.5, 0.75):
             mid = lam * a + (1.0 - lam) * b

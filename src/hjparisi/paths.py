@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadBreakpoints, NotIncreasing, Singular
+from .errors import BadBreakpoints, NotIncreasing
 from .util import PSD_TOL, frob, psd_sqrt, sym
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "dual_cone_member",
     "uniform_increase_check",
     "sqrt_increments",
-    "sqrt_directional_derivative",
     "path_from_json_dict",
     "path_to_json_dict",
 ]
@@ -201,23 +200,6 @@ def sqrt_increments(q):
         return [psd_sqrt(inc, clip_tol=PSD_TOL) for inc in q.increments()]
     except ValueError as exc:
         raise NotIncreasing(str(exc)) from exc
-
-
-def sqrt_directional_derivative(h, a):
-    """Derivative of the matrix square root at h in direction a.
-
-    Solves sqrt(h) X + X sqrt(h) = a for the symmetric X; requires h
-    positive definite.  Satisfies |X| <= |a| / (2 sqrt(lambda_min(h))).
-    """
-    h = sym(np.asarray(h, dtype=float))
-    a = sym(np.asarray(a, dtype=float))
-    lam, vec = np.linalg.eigh(h)
-    if lam[0] <= 1e-12:
-        raise Singular(f"h must be positive definite (min eigenvalue {lam[0]:.3e})")
-    root = np.sqrt(lam)
-    b = vec.T @ a @ vec
-    x = b / (root[:, None] + root[None, :])
-    return sym(vec @ x @ vec.T)
 
 
 def path_from_json_dict(d):

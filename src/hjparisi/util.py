@@ -1,4 +1,5 @@
-"""Small shared numerics helpers and the deterministic thread map."""
+"""Small shared numerics helpers, the projected-gradient ascent and the
+deterministic thread map."""
 
 from __future__ import annotations
 
@@ -7,9 +8,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import NotIncreasing
+from .errors import NotIncreasing, ValidationError
 
 PSD_TOL = 1e-10
+
+# _Ascent: the first-order residual that counts as converged, the probe
+# step it is taken with, the Armijo step range.
+_RESIDUAL_TOL = 1e-7
+_RES_STEP = 1e-6
+_ETA_MIN, _ETA_MAX = 1e-10, 64.0
 
 
 def sym(a):
@@ -74,6 +81,81 @@ def clip_increments(values, tol=np.inf):
         prev = prev + (vec * np.clip(lam, 0.0, None)) @ vec.T
         out.append(prev)
     return out
+
+
+def _monotone_project(blocks, cap):
+    """Forward eigenvalue clip to PSD increments, then a global norm cap;
+    returns an array of shape (n, D, D)."""
+    out = np.array(clip_increments(blocks))
+    top = float(np.linalg.norm(out, axis=(1, 2)).max())
+    return out * (cap / top) if top > cap else out
+
+
+class _Ascent:
+    """Projected-gradient ascent from one start, with an Armijo step along
+    the projection arc b(eta) = P(b + eta g) (Bertsekas 1976), P being
+    _monotone_project with the norm cap.
+
+    objective(blocks) returns (value, grad), value being -inf on
+    infeasible blocks and grad() the L2 block gradient.  Each move first
+    tries the Barzilai-Borwein step <s, s> / -<s, y> (last move s,
+    gradient change y), the secant step on a concave quadratic, or twice
+    the last step where <s, y> >= 0.  The ascent is done once the
+    first-order residual |P(b + h g) - b| / h is at most tol (all norms
+    L2), or once no step down to _ETA_MIN gains.
+    The latter is also convergence: grad-psi is exact for psi, not for its
+    quadrature sum, so near the top the two differ by the quadrature error
+    (a residual of 5e-7 at 16 nodes, D = 1, K = 1).
+    """
+
+    def __init__(self, objective, cap, lens, start, tol=_RESIDUAL_TOL):
+        self.objective, self.cap, self.tol = objective, cap, tol
+        self.lens = np.asarray(lens)[:, None, None]
+        self.blocks = self.project(np.array(start, dtype=float))
+        self.value, self._grad = objective(self.blocks)
+        if not np.isfinite(self.value):
+            raise ValidationError("projected start is infeasible")
+        self.eta, self._prev = 1.0, None
+        self.iters, self.done, self.residual = 0, False, np.inf
+
+    def _inner(self, a, b):
+        return float(np.sum(self.lens * a * b))
+
+    def project(self, blocks):
+        return _monotone_project(blocks, self.cap)
+
+    def check(self):
+        """Gradient and residual at the current blocks; True once done."""
+        self.g = np.asarray(self._grad())
+        step = (self.project(self.blocks + _RES_STEP * self.g)
+                - self.blocks) / _RES_STEP
+        self.residual = self._inner(step, step) ** 0.5
+        self.done = self.residual <= self.tol
+        return self.done
+
+    def run(self, moves):
+        """Advance by up to moves Armijo steps."""
+        for _ in range(moves):
+            if self.done or self.check():
+                return
+            self.iters += 1
+            if self._prev is not None:
+                s, y = self.blocks - self._prev[0], self.g - self._prev[1]
+                sy = self._inner(s, y)
+                eta = self._inner(s, s) / -sy if sy < 0.0 else 2.0 * self.eta
+                self.eta = min(max(eta, _ETA_MIN), _ETA_MAX)
+            while self.eta >= _ETA_MIN:
+                cand = self.project(self.blocks + self.eta * self.g)
+                cval, cgrad = self.objective(cand)
+                rise = self._inner(self.g, cand - self.blocks)
+                if cval > self.value and cval >= self.value + 1e-4 * rise:
+                    break
+                self.eta *= 0.5
+            else:
+                self.done = True
+                return
+            self._prev = (self.blocks, self.g)
+            self.blocks, self.value, self._grad = cand, cval, cgrad
 
 
 def node_rng(seed, *key):

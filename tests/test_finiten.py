@@ -79,6 +79,23 @@ def test_free_energy_validation():
         free_energy_mc(sk(1.0), P1, 2, 0.1, Q2, 0.0, 1, 16, 0)
 
 
+def test_overlap_law_and_identity_checks_reject_too_few_samples(monkeypatch):
+    # a stderr needs two samples; the check comes before any session or
+    # quadrature work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the samples check")
+
+    monkeypatch.setattr(finiten, "_Session", no_work)
+    monkeypatch.setattr(finiten, "psi_eval", no_work)
+    for samples in (0, 1):
+        with pytest.raises(ValidationError, match="samples"):
+            gibbs_overlap_law(sk(1.0), P1, N=3, t=0.1, q=Q2, t_hat=0.0,
+                              samples=samples, n_max=16, seed=0)
+        with pytest.raises(ValidationError, match="samples"):
+            identity_checks(sk(1.0), P1, N=3, t=0.1, q=Q2, samples=samples,
+                            seed=0)
+
+
 def test_overlap_law_masses_and_histogram():
     law = gibbs_overlap_law(sk(1.0), P1, N=6, t=0.1, q=Q2, t_hat=0.02,
                             samples=250, n_max=16, seed=9,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hjparisi.model
 from hjparisi import (
     ValidationError,
     XiModel,
@@ -123,6 +124,46 @@ def test_xi_star_warm_start_and_argmax():
     assert val2 == pytest.approx(val, abs=1e-10)
 
 
+def test_xi_star_keeps_the_sup_on_a_nonconvex_model(monkeypatch):
+    # xi(A) = A11 A22 + 0.2 tr(A)^3 fails the convexity probe; pruning the
+    # starts after a few rough moves returns 0.865211 here
+    model = XiModel(2, bipartite(1.0).terms + ((3, 0.2 * np.eye(8)),))
+    a = np.array([[0.9219, -0.3256], [-0.3256, 0.9196]])
+    runs = []
+
+    class Counted(hjparisi.model._Ascent):
+        def __init__(self, *args, **kwargs):
+            runs.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(hjparisi.model, "_Ascent", Counted)
+    val, arg = xi_star(model, a, radius=2.0, return_argmax=True)
+    assert len(runs) == 8
+    assert val == pytest.approx(0.867635, abs=1e-6)
+    assert np.linalg.eigvalsh(arg)[0] >= -1e-12
+    assert np.linalg.norm(arg) <= 2.0 + 1e-12
+    assert float(np.sum(a * arg)) - xi_eval(model, arg) == pytest.approx(
+        val, abs=1e-12)
+
+    # brute force over a grid of the PSD ball of radius 2
+    d = np.linspace(0.0, 2.0, 161)
+    b11, b22 = np.meshgrid(d, d, indexing="ij")
+    grid_max = -np.inf
+    for b12 in np.linspace(-np.sqrt(2.0), np.sqrt(2.0), 321):
+        feasible = ((b11 * b22 >= b12 ** 2)
+                    & (b11 ** 2 + b22 ** 2 + 2.0 * b12 ** 2 <= 4.0))
+        vals = (a[0, 0] * b11 + a[1, 1] * b22 + 2.0 * a[0, 1] * b12
+                - b11 * b22 - 0.2 * (b11 + b22) ** 3)
+        grid_max = max(grid_max, np.max(vals, where=feasible,
+                                        initial=-np.inf))
+    assert val >= grid_max > 0.866
+
+    # a convex model climbs from one start
+    runs.clear()
+    xi_star(sk(1.0), [[1.0]], radius=2.0)
+    assert len(runs) == 1
+
+
 def test_convexity_probe():
     assert convexity_probe(sk(1.0)).is_convex_on_psd
     assert convexity_probe(frobenius_square(1.0, 2)).is_convex_on_psd
@@ -135,6 +176,11 @@ def test_convexity_probe():
         + (1.0 - lam) * xi_eval(bipartite(1.0), b))
     assert direct == pytest.approx(gap)
     assert gap > 0
+    # the per-model report is probed once, at 64 samples and seed 0
+    model = bipartite(1.0)
+    assert model.convexity is model.convexity
+    assert model.convexity.witness[3] == convexity_probe(
+        model, samples=64, seed=0).witness[3]
 
 
 def test_model_validation():

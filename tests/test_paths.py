@@ -21,7 +21,6 @@ from hjparisi.paths import (
     path_to_json_dict,
     refine_all,
     signed_path_new,
-    sqrt_directional_derivative,
     sqrt_increments,
 )
 
@@ -135,19 +134,6 @@ def test_sqrt_increments_reconstruct():
     roots = sqrt_increments(q)
     np.testing.assert_allclose(roots[0] @ roots[0], v0, atol=1e-12)
     np.testing.assert_allclose(roots[1] @ roots[1], v1 - v0, atol=1e-12)
-
-
-def test_sqrt_directional_derivative_matches_fd():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((3, 3))
-    h = m @ m.T + 0.5 * np.eye(3)
-    a = rng.standard_normal((3, 3))
-    a = 0.5 * (a + a.T)
-    from hjparisi.util import psd_sqrt
-    eps = 1e-6
-    fd = (psd_sqrt(h + eps * a) - psd_sqrt(h - eps * a)) / (2 * eps)
-    x = sqrt_directional_derivative(h, a)
-    np.testing.assert_allclose(x, fd, atol=1e-7)
 
 
 def test_json_roundtrip():
