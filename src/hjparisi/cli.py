@@ -456,7 +456,10 @@ def finiten_check(model_path, path_path, t, that, n_spins, samples, nmax,
                      "sigma": c.sigma, "note": c.note}
               for name, c in report.checks.items()}
     result["all_passed"] = report.all_passed
-    _emit(_payload(config, result), out)
+    # beside `result`, whose other keys are all identity checks
+    payload = _payload(config, result)
+    payload["diagnostics"] = {"truncation_ratio": report.truncation_ratio}
+    _emit(payload, out)
     if not report.all_passed:
         sys.exit(1)
 

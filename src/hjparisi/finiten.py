@@ -8,7 +8,9 @@ and the optional coupling perturbation; every inner sum is exact.  One
 sample loop draws it from streams keyed by the seed alone, so equal seeds
 give common random numbers, and applies a per-sample statistic to each
 draw: `identity_checks` reads all it compares from one pass per path, and
-free energies and overlap laws report the largest truncation ratio drawn.
+every estimator reports the largest truncation ratio drawn.  Each chunk of
+draws assembles its exponents and takes log Z in work buffers of its own,
+so a sample allocates no config-by-leaf temporary beyond its field term.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval, xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
 from .paths import lp_distance, sqrt_increments
-from .util import chunked_thread_map, logsumexp, node_rng
+from .util import chunked_thread_map, node_rng
 
 __all__ = [
     "DisorderSample", "McEstimate", "OverlapLaw", "sample_hamiltonian",
@@ -131,12 +133,12 @@ class _Session:
 
     def __init__(self, model, P1, N, q, n_max):
         _check_size(model, N)
+        if q.D != model.D:
+            raise ValidationError("path and model dimensions differ")
         self.model, self.N, self.q, self.n_max = model, N, q, int(n_max)
         self.x_flat, self.x3, self.logw_cfg = _enumerate_configs(P1, N)
         self.n_cfg = len(self.x_flat)
         self.D = model.D
-        if q.D != model.D:
-            raise ValidationError("path and model dimensions differ")
         self.K = q.K
         self.L = self.n_max ** self.K
         if self.n_cfg * self.L > PAIR_BUDGET:
@@ -151,10 +153,15 @@ class _Session:
         self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
                                  self.overlap_self)
 
+    def buffer(self):
+        """An uninitialised (n_cfg, L) work buffer."""
+        return np.empty((self.n_cfg, self.L))
+
     def draw(self, rng):
         """The parts of one draw of all randomness: Hamiltonian values per
-        config, leaf log-weights, the config-leaf field term, the coupling
-        perturbation per config, and the cascade's truncation ratio."""
+        config, leaf log-weights, the config-leaf field term (scaled by
+        sqrt 2), the coupling perturbation per config, and the cascade's
+        truncation ratio."""
         N, D, K = self.N, self.D, self.K
         ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
         h_vals = ham.evaluate(self.x_flat)
@@ -166,30 +173,63 @@ class _Session:
             rng.standard_normal((self.n_max ** level, D, N))
             for level in range(K + 1)])
         cross = self.x_flat @ w_field.reshape(self.L, D * N).T  # (n_cfg, L)
+        cross *= np.sqrt(2.0)
+        # sum_d x_cd^T W x_cd: one BLAS product, then a dot per config
         w_hat = rng.standard_normal((N, N))
-        hat_vals = np.einsum("cdi,cdj,ij->c", self.x3, self.x3,
-                             w_hat) / np.sqrt(N)
+        xw = (self.x3.reshape(-1, N) @ w_hat).reshape(self.n_cfg, D * N)
+        hat_vals = np.einsum("ci,ci->c", self.x_flat, xw) / np.sqrt(N)
         return _Draw(h_vals, leaf_logw, cross, hat_vals, ratio)
 
-    def assemble(self, parts, t, t_hat):
-        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat)."""
+    def assemble(self, parts, t, t_hat, out):
+        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat), written
+        into out."""
         base = (self.logw_cfg + np.sqrt(2.0 * t) * parts.h_vals
                 - t * self.N * self.xi_self - self.qk_term
                 - t_hat * self.N * self.sq_self
                 + np.sqrt(2.0 * t_hat) * parts.hat_vals)
-        return (base[:, None] + parts.leaf_logw[None, :]
-                + np.sqrt(2.0) * parts.cross)
+        np.add(base[:, None], parts.leaf_logw[None, :], out=out)
+        out += parts.cross
+        return out
 
 
-def _crn_samples(session, stat, samples, seed, threads):
+def _log_z(expo, work=None):
+    """log sum exp of all entries of expo.  exp(expo - max) is left in
+    work, which is expo itself by default."""
+    work = expo if work is None else work
+    m = expo.max()
+    np.subtract(expo, m, out=work)
+    np.exp(work, out=work)
+    return float(np.log(work.sum()) + m)
+
+
+def _gibbs_weights(expo, out):
+    """Gibbs weights exp(expo - log Z) into out (not expo); returns log Z."""
+    lz = _log_z(expo, out)
+    np.subtract(expo, lz, out=out)
+    np.exp(out, out=out)
+    return lz
+
+
+def _log_z_stat(session, t, t_hat):
+    """Statistic factory for _crn_samples: log Z of a draw at (t, t_hat)."""
+    def make_stat():
+        expo = session.buffer()
+        return lambda parts: _log_z(session.assemble(parts, t, t_hat, expo))
+    return make_stat
+
+
+def _crn_samples(session, make_stat, samples, seed, threads):
     """stat(parts) of `samples` draws of session, in sample order, and the
     largest truncation ratio drawn.  Each 16-sample chunk has its own
     stream keyed by (seed, chunk start), so sessions run with one seed
-    share common random numbers at any thread count."""
+    share common random numbers at any thread count.  Each chunk calls
+    make_stat() once for its stat, whose work buffers are that chunk's
+    alone: no two threads ever write to one buffer."""
     chunk = 16
 
     def one_chunk(s0):
         rng = node_rng(seed, 5, s0)
+        stat = make_stat()
         stats, ratio = [], 0.0
         for _ in range(min(chunk, samples - s0)):
             parts = session.draw(rng)
@@ -215,9 +255,8 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     session = _Session(model, P1, N, q, n_max)
-    logz, ratio = _crn_samples(
-        session, lambda parts: logsumexp(session.assemble(parts, t, t_hat)),
-        samples, seed, threads)
+    logz, ratio = _crn_samples(session, _log_z_stat(session, t, t_hat),
+                               samples, seed, threads)
     vals = -np.array(logz) / N
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / np.sqrt(samples)),
@@ -250,48 +289,59 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     """
     if samples < 2:
         raise ValidationError("samples must be >= 2")
+    if with_histogram:
+        if model.D != 1:
+            raise ValidationError("overlap histogram is only kept for D=1")
+        _check_size(model, N)
+        if len(P1.atoms) ** (2 * N) > PAIR_BUDGET:
+            raise BudgetExceeded("configuration pair grid exceeds the budget")
     session = _Session(model, P1, N, q, n_max)
     K, D, n_cfg, N_sp = session.K, session.D, session.n_cfg, session.N
-    scalar = with_histogram and D == 1
-    if with_histogram and D != 1:
-        raise ValidationError("overlap histogram is only kept for D=1")
-    if scalar and n_cfg * n_cfg > PAIR_BUDGET:
-        raise BudgetExceeded("configuration pair grid exceeds the budget")
-    if scalar:
+    if with_histogram:
         r_pair = (session.x_flat @ session.x_flat.T) / N_sp
         r_values = np.unique(np.round(r_pair, 12))
         r_index = np.searchsorted(r_values, np.round(r_pair, 12)).ravel()
 
-    def stat(parts):
-        expo = session.assemble(parts, t, t_hat)
-        g = np.exp(expo - logsumexp(expo))       # (n_cfg, L)
-        # tier sums: per node at level j, total mass and spin vector
-        share_mass = np.zeros(K + 2)
-        share_mom = np.zeros((K + 2, D, D))
-        pair_mats = []
-        for j in range(K + 1):
-            nodes = session.n_max ** j
-            gj = g.reshape(n_cfg, nodes, -1).sum(axis=2)   # (n_cfg, nodes)
-            tvec = gj.T @ session.x_flat                   # (nodes, D*N)
-            tv3 = tvec.reshape(nodes, D, N_sp)
-            share_mass[j] = float(np.sum(gj.sum(axis=0) ** 2))
-            share_mom[j] = np.einsum("bdn,ben->de", tv3, tv3)
-            if scalar:
-                pair_mats.append(gj)
-        hist = None
-        if scalar:
-            hist = np.zeros((K + 1, len(r_values)))
-            prev = None
-            for j in range(K, -1, -1):
-                pm = pair_mats[j] @ pair_mats[j].T
-                exact = pm if prev is None else pm - prev
-                hist[j] = np.bincount(r_index, weights=exact.ravel(),
-                                      minlength=len(r_values))
-                prev = pm
-        return (share_mass[:K + 1] - share_mass[1:],
-                (share_mom[:K + 1] - share_mom[1:]) / N_sp, hist)
+    def make_stat():
+        expo, g = session.buffer(), session.buffer()
+        if with_histogram:
+            pair_bufs = np.empty((2, n_cfg, n_cfg))
 
-    results, ratio = _crn_samples(session, stat, samples, seed, threads)
+        def stat(parts):
+            _gibbs_weights(session.assemble(parts, t, t_hat, expo), g)
+            # tier sums: per node at level j, total mass and spin vector
+            share_mass = np.zeros(K + 2)
+            share_mom = np.zeros((K + 2, D, D))
+            pair_mats = []
+            for j in range(K + 1):
+                nodes = session.n_max ** j
+                # (n_cfg, nodes); at the leaf level that is g itself
+                gj = g if j == K else g.reshape(n_cfg, nodes, -1).sum(axis=2)
+                tvec = gj.T @ session.x_flat                   # (nodes, D*N)
+                tv3 = tvec.reshape(nodes, D, N_sp)
+                share_mass[j] = float(np.sum(gj.sum(axis=0) ** 2))
+                share_mom[j] = np.einsum("bdn,ben->de", tv3, tv3)
+                pair_mats.append(gj)
+            hist = None
+            if with_histogram:
+                # pair mass sharing at least j levels, minus that sharing
+                # j + 1, taken in two alternating pair buffers
+                hist = np.zeros((K + 1, len(r_values)))
+                cur, prev = pair_bufs
+                for j in range(K, -1, -1):
+                    np.matmul(pair_mats[j], pair_mats[j].T, out=cur)
+                    exact = cur if j == K else np.subtract(cur, prev,
+                                                           out=prev)
+                    hist[j] = np.bincount(r_index, weights=exact.ravel(),
+                                          minlength=len(r_values))
+                    cur, prev = prev, cur
+            return (share_mass[:K + 1] - share_mass[1:],
+                    (share_mom[:K + 1] - share_mom[1:]) / N_sp, hist)
+
+        return stat
+
+    results, ratio = _crn_samples(session, make_stat, samples, seed,
+                                  threads)
     mass = np.array([r[0] for r in results])
     moment = np.array([r[1] for r in results])
     n = len(mass)
@@ -301,7 +351,8 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     cond = moment.mean(axis=0) / denom[:, None, None]
     per_sample_cond = moment / np.where(mass > 0, mass, 1.0)[:, :, None, None]
     cond_se = per_sample_cond.std(axis=0, ddof=1) / np.sqrt(n)
-    hist = (r_values, sum(r[2] for r in results) / n) if scalar else None
+    hist = ((r_values, sum(r[2] for r in results) / n) if with_histogram
+            else None)
     # |x_c . x_c'| <= |x_c| |x_c'| (Cauchy-Schwarz), with equality for the
     # config that puts the largest-norm atom at every site
     max_abs = float(np.max(np.sum(P1.atoms ** 2, axis=1)))
@@ -327,6 +378,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class IdentityReport:
     checks: dict
+    truncation_ratio: float = 0.0   # largest over the three sessions
 
     @property
     def all_passed(self):
@@ -367,24 +419,32 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     h = 0.02 * max(t, 0.25)
     t_lo = max(t - h, 0.0)
 
-    def crn(sess, stat):
-        return np.array(_crn_samples(sess, stat, samples, seed, threads)[0])
+    ratios = []
+
+    def crn(sess, make_stat):
+        vals, ratio = _crn_samples(sess, make_stat, samples, seed, threads)
+        ratios.append(ratio)
+        return np.array(vals)
 
     def log_z(sess, s):
-        return crn(sess, lambda parts: logsumexp(sess.assemble(parts, s, 0.0)))
+        return crn(sess, _log_z_stat(sess, s, 0.0))
 
-    def main_stat(parts):
-        # log Z at t, t_lo, t + h and 0, then the Gibbs xi moment at t:
-        # replicas are conditionally independent given the randomness, so
-        # the pair expectation factors through the config marginals
-        expo = session.assemble(parts, t, 0.0)
-        lz_t = logsumexp(expo)
-        g = np.exp(expo - lz_t).sum(axis=1)           # (n_cfg,)
-        lz = [logsumexp(session.assemble(parts, s, 0.0))
-              for s in (t_lo, t + h, 0.0)]
-        return [lz_t, *lz, _xi_pair_moment(session, g)]
+    def make_main_stat():
+        expo, g = session.buffer(), session.buffer()
 
-    lz_t, lz_down, lz_up, lz0, gibbs = crn(session, main_stat).T
+        def main_stat(parts):
+            # log Z at t, t_lo, t + h and 0, then the Gibbs xi moment at t:
+            # replicas are conditionally independent given the randomness,
+            # so the pair expectation factors through the config marginals
+            lz_t = _gibbs_weights(session.assemble(parts, t, 0.0, expo), g)
+            gibbs = _xi_pair_moment(session, g.sum(axis=1))
+            lz = [_log_z(session.assemble(parts, s, 0.0, expo))
+                  for s in (t_lo, t + h, 0.0)]
+            return [lz_t, *lz, gibbs]
+
+        return main_stat
+
+    lz_t, lz_down, lz_up, lz0, gibbs = crn(session, make_main_stat).T
     lz, lz0 = lz_t / N, lz0 / N
     checks = {}
 
@@ -420,7 +480,7 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     sig = float(lz0.std(ddof=1) / np.sqrt(samples))
     checks["initial"] = CheckResult(abs(-lz0.mean() - psi) <= 3 * sig,
                                     float(-lz0.mean()), psi, sig)
-    return IdentityReport(checks)
+    return IdentityReport(checks, max(ratios))
 
 
 def _xi_pair_moment(session, g):

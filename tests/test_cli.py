@@ -212,9 +212,15 @@ def test_finiten_check_passes(files, capsys):
          files["q2.json"], "--t", "0.1", "--n", "4", "--samples", "400",
          "--seed", "13"], capsys)
     assert code == 0
-    res = json.loads(out)["result"]
+    payload = json.loads(out)
+    res = payload["result"]
     assert res["all_passed"] is True
     assert res["initial"]["passed"] is True
+    # every key of `result` but all_passed is an identity check, so the
+    # truncation ratio goes in its own section
+    assert set(res) == {"lipschitz", "dt_identity", "monotone", "initial",
+                        "all_passed"}
+    assert payload["diagnostics"]["truncation_ratio"] > 0.0
 
 
 def test_finiten_check_uses_nmax_and_rejects_that(files, capsys):

@@ -161,6 +161,12 @@ def test_truncation_ratio_is_reported_and_thread_invariant():
               for threads in (1, 2)]
     assert ratios[0] > 0.0
     assert ratios == [ratios[0]] * 4
+    # identity_checks' three sessions share the cascade levels, so their
+    # largest ratio is the one the same draws gave above
+    report = identity_checks(sk(1.0), P1, 3, 0.1, Q2, 40, seed=5, n_max=8)
+    assert report.truncation_ratio == ratios[0]
+    report = identity_checks(sk(1.0), P1, 3, 0.1, q0, 40, seed=5, n_max=8)
+    assert report.truncation_ratio == 0.0
 
 
 def test_max_abs_overlap_is_the_largest_pair_overlap():
@@ -200,3 +206,145 @@ def test_identity_check_fields_are_plain_floats():
         assert isinstance(check.passed, bool)
         assert isinstance(check.lhs, float)
         assert isinstance(check.sigma, float)
+
+
+# Fixed-seed values of the sample kernel that built every exponent matrix
+# as a fresh temporary and summed the coupling term with one einsum.  At
+# t_hat = 0 the in-place kernel does the same float operations in the same
+# order, so they must agree bit for bit; at t_hat > 0 the coupling term's
+# sum runs in another order, so they agree to rounding.
+QD2 = path_new([0.0, 0.5], [np.diag([0.1, 0.08]), np.diag([0.25, 0.3])])
+FE_INSTANCES = {
+    "D1": (sk(1.0), P1, 4, Q2, 16),
+    "D2": (frobenius_square(1.0, 2), ising_measure(2), 3, QD2, 8),
+}
+PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
+    ("D1", 0.0): (0.06359377030242934, 0.025622476267263793,
+                  0.014388800613006533),
+    ("D1", 0.05): (0.10968913163467645, 0.032525406030288626,
+                   0.014388800613006533),
+    ("D2", 0.0): (0.09239791532593246, 0.029946787556625,
+                  0.04913286727467261),
+    ("D2", 0.05): (0.09326298064795586, 0.03689339210949584,
+                   0.04913286727467261),
+}
+PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
+    0.0: dict(
+        level_mass=[0.45474320779514316, 0.5452567922048569],
+        level_mass_stderr=[0.04434571782583678, 0.04434571782583679],
+        cond_mean=[0.11855104931221787, 0.382858362626146],
+        cond_mean_stderr=[0.02637684184739499, 0.019258600426701803],
+        joint_mass=[[0.015375090760409136, 0.05699440884895214,
+                     0.11084573637093656, 0.13216873374856603,
+                     0.10035454255076628, 0.039004695515512916],
+                    [0.0038183096627852457, 0.024184676535835718,
+                     0.07976954425734674, 0.15318853829199064,
+                     0.17973571001301117, 0.10456001344388748]],
+        truncation_ratio=0.03519717557707124),
+    0.05: dict(
+        level_mass=[0.4551235986646927, 0.5448764013353071],
+        level_mass_stderr=[0.04433396227637561, 0.044333962276375614],
+        cond_mean=[0.12178469518414381, 0.40236335184842664],
+        cond_mean_stderr=[0.029836760436993168, 0.02127384678319513],
+        joint_mass=[[0.016717578892607613, 0.061727577575610336,
+                     0.10784010961061814, 0.1228958062461657,
+                     0.09943112873584137, 0.04651139760384967],
+                    [0.004307414889643746, 0.024733808361284398,
+                     0.07726154435380966, 0.14371557822090636,
+                     0.174407167980713, 0.12045088752894997]],
+        truncation_ratio=0.03519717557707124),
+}
+PINNED_CHECKS = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=16, seed 2
+    "lipschitz": (True, 0.0005413180521856575, 0.08000000000000002,
+                  0.0077607514340287224),
+    "dt_identity": (True, 0.2667403259080736, 0.43637193718553124,
+                    0.1537490910212001),
+    "monotone": (True, 0.028909434288574648, 0.0, 0.004701907217358808),
+    "initial": (True, 0.07472487722570834, 0.03341942319313077,
+                0.019471414101662733),
+}
+
+
+def _assert_pinned(got, want, t_hat):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if t_hat == 0.0:
+        assert got.tobytes() == want.tobytes(), (got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_free_energy_matches_pinned_values(threads):
+    for (name, t_hat), want in PINNED_FE.items():
+        model, P, N, q, n_max = FE_INSTANCES[name]
+        est = free_energy_mc(model, P, N, 0.1, q, t_hat, 40, n_max, seed=7,
+                             threads=threads)
+        _assert_pinned([est.mean, est.stderr, est.truncation_ratio], want,
+                       t_hat)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_overlap_law_histogram_matches_pinned_values(threads):
+    for t_hat, want in PINNED_LAW.items():
+        law = gibbs_overlap_law(sk(1.0), P1, 5, 0.1, Q2, t_hat, 40, 8,
+                                seed=9, with_histogram=True, threads=threads)
+        r_values, joint = law.scalar_hist
+        assert r_values.tolist() == [-1.0, -0.6, -0.2, 0.2, 0.6, 1.0]
+        got = dict(level_mass=law.level_mass,
+                   level_mass_stderr=law.level_mass_stderr,
+                   cond_mean=law.cond_mean.ravel(),
+                   cond_mean_stderr=law.cond_mean_stderr.ravel(),
+                   joint_mass=joint,
+                   truncation_ratio=law.truncation_ratio)
+        for key, value in want.items():
+            _assert_pinned(got[key], value, t_hat)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_identity_checks_match_pinned_values(threads):
+    report = identity_checks(sk(1.0), P1, 3, 0.1, Q2, 40, seed=2, n_max=16,
+                             threads=threads)
+    assert set(report.checks) == set(PINNED_CHECKS)
+    for name, (passed, *values) in PINNED_CHECKS.items():
+        check = report.checks[name]
+        assert check.passed is passed
+        _assert_pinned([check.lhs, check.rhs, check.sigma], values, 0.0)
+
+
+def test_overlap_law_and_identity_checks_are_thread_invariant():
+    # each chunk of draws writes only to its own work buffers, so the
+    # results are the same at every worker count, bit for bit
+    laws, reports = [], []
+    for threads in (1, 2, 3):
+        law = gibbs_overlap_law(sk(1.0), P1, 6, 0.1, Q2, 0.05, 64, 16,
+                                seed=4, with_histogram=True, threads=threads)
+        laws.append([law.level_mass, law.level_mass_stderr, law.cond_mean,
+                     law.cond_mean_stderr, *law.scalar_hist,
+                     law.truncation_ratio])
+        rep = identity_checks(sk(1.0), P1, 4, 0.1, Q2, 64, seed=4,
+                              n_max=16, threads=threads)
+        reports.append((rep.checks, rep.truncation_ratio))
+    for other in laws[1:]:
+        for a, b in zip(laws[0], other):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_validation_comes_before_enumeration(monkeypatch):
+    # dimension, histogram and pair-budget errors need no configurations
+    def no_work(*args, **kwargs):
+        raise AssertionError("configurations enumerated before the check")
+
+    monkeypatch.setattr(finiten, "_enumerate_configs", no_work)
+    q_d2 = path_new([0.0], [0.05 * np.eye(2)])
+    with pytest.raises(ValidationError, match="D=1"):
+        gibbs_overlap_law(frobenius_square(1.0, 2), ising_measure(2), N=3,
+                          t=0.1, q=q_d2, t_hat=0.0, samples=50, n_max=8,
+                          seed=0, with_histogram=True)
+    # 2^14 configurations fit the enumeration budget, their pairs do not
+    with pytest.raises(BudgetExceeded, match="pair grid"):
+        gibbs_overlap_law(sk(1.0), P1, N=14, t=0.1, q=Q2, t_hat=0.0,
+                          samples=50, n_max=8, seed=0, with_histogram=True)
+    for f in (free_energy_mc, gibbs_overlap_law):
+        with pytest.raises(ValidationError, match="dimensions"):
+            f(sk(1.0), P1, 3, 0.1, q_d2, 0.0, 50, 8, seed=0)
