@@ -143,9 +143,6 @@ class CascadeField:
                 (casc.n_max ** level, self.q.D, self.N))
             for level in range(casc.K + 1)])
 
-    def leaf_field(self, leaf_index):
-        return self.all[leaf_index]
-
 
 def _leaf_field(roots, zs):
     """Field at every leaf, shape (n_leaves, D, N), from per-level node

@@ -83,6 +83,17 @@ def _quad(nodes, mc_samples, mc_seed):
     return ob.QuadratureSpec(nodes_per_dim=nodes, mc_fallback=fallback)
 
 
+def _float_list(ctx, param, value):
+    """Click callback: a comma-separated list of numbers, or None."""
+    if value is None:
+        return None
+    try:
+        return [float(x) for x in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not a comma-separated list of numbers") from None
+
+
 threads_option = click.option("--threads", type=int, default=None,
                               help="worker cap (default: HJPARISI_THREADS "
                                    "or 1); results do not depend on it")
@@ -230,7 +241,7 @@ def _split_blocks(q):
 @crit.command("sweep")
 @click.option("--model", "model_path", required=True)
 @click.option("--path", "path_path", required=True)
-@click.option("--t-grid", required=True,
+@click.option("--t-grid", required=True, callback=_float_list,
               help="comma-separated increasing t values")
 @click.option("--that", type=float, default=0.0)
 @click.option("--tol", type=float, default=1e-8)
@@ -243,12 +254,11 @@ def crit_sweep(model_path, path_path, t_grid, that, tol, damping, max_iters,
                nodes, threads, out):
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
-    grid = [float(x) for x in t_grid.split(",")]
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
-    points = cp.continuation(m, p1, grid, that, q, opts,
+    points = cp.continuation(m, p1, t_grid, that, q, opts,
                              _quad(nodes, None, 0),
                              threads=threads)
-    config = {"model": model_path, "path": path_path, "t_grid": grid,
+    config = {"model": model_path, "path": path_path, "t_grid": t_grid,
               "that": that, "tol": tol, "damping": damping,
               "max_iters": max_iters, "nodes": nodes}
     rows = []
@@ -275,7 +285,7 @@ def parisi():
 @click.option("--model", "model_path", required=True)
 @click.option("--path", "path_path", required=True)
 @click.option("--t", type=float, required=True)
-@click.option("--partition", default=None,
+@click.option("--partition", default=None, callback=_float_list,
               help="comma-separated interior breakpoints for p")
 @opt_nodes_option
 @threads_option
@@ -283,14 +293,11 @@ def parisi():
 def parisi_sup_cmd(model_path, path_path, t, partition, nodes, threads, out):
     m, p1 = _load_model(model_path)
     q = _load_path(path_path)
-    part = None
-    if partition:
-        part = [float(x) for x in partition.split(",")]
-    res = var.parisi_sup(m, p1, t, q, partition=part,
+    res = var.parisi_sup(m, p1, t, q, partition=partition,
                          quad=_quad(nodes, None, 0),
                          threads=threads)
     config = {"model": model_path, "path": path_path, "t": t,
-              "partition": part, "nodes": nodes}
+              "partition": partition, "nodes": nodes}
     _emit(_payload(config, {
         "value": res.value, "argmax": path_to_json_dict(res.argmax_path),
         "optimizer_iters": res.optimizer_iters,
@@ -332,7 +339,7 @@ def cascade_group():
 
 
 @cascade_group.command("diag")
-@click.option("--zetas", required=True,
+@click.option("--zetas", required=True, callback=_float_list,
               help="comma-separated interior levels")
 @click.option("--nmax", type=int, default=64)
 @click.option("--draws", type=int, default=10000)
@@ -343,8 +350,7 @@ def cascade_group():
 @click.option("--seed", type=int, default=0)
 @click.option("--out", default=None)
 def cascade_diag(zetas, nmax, draws, gg_draws, gg_n, gg_functions, seed, out):
-    zs = [float(x) for x in zetas.split(",")]
-    sample = casc.sample_cascade(zs, nmax, seed)
+    sample = casc.sample_cascade(zetas, nmax, seed)
     law = casc.overlap_level_law(sample, draws, seed + 1)
     gg = {}
     for name in gg_functions.split(","):
@@ -355,7 +361,7 @@ def cascade_diag(zetas, nmax, draws, gg_draws, gg_n, gg_functions, seed, out):
                           seed + 2)
         gg[name] = {"residual": r.residual, "stderr": r.stderr,
                     "truncation_bias": r.truncation_bias}
-    config = {"zetas": zs, "nmax": nmax, "draws": draws,
+    config = {"zetas": zetas, "nmax": nmax, "draws": draws,
               "gg_draws": gg_draws, "gg_n": gg_n,
               "gg_functions": gg_functions, "seed": seed}
     result = {"level_freqs": law.freqs.tolist(),

@@ -119,6 +119,15 @@ class CriticalPoint:
 _DIP_TOL = 1e-6
 
 
+def _as_increasing(zetas, values, tol=np.inf):
+    """The increasing path with these values, or else with their forward
+    PSD clip, which raises NotIncreasing on an increment dip below -tol."""
+    try:
+        return PiecewisePath(zetas, values)
+    except NotIncreasing:
+        return PiecewisePath(zetas, clip_increments(values, tol))
+
+
 def _q_prime_of(model, t, t_hat, q, p):
     """q + t grad-xi(p) + 2 t_hat p as an increasing path.
 
@@ -127,10 +136,7 @@ def _q_prime_of(model, t, t_hat, q, p):
     """
     vals = [qv + t * xi_grad(model, pv) + 2.0 * t_hat * pv
             for qv, pv in zip(q.values, p.values)]
-    try:
-        return PiecewisePath(q.zetas, vals)
-    except NotIncreasing:
-        return PiecewisePath(q.zetas, clip_increments(vals, _DIP_TOL))
+    return _as_increasing(q.zetas, vals, _DIP_TOL)
 
 
 def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
@@ -180,17 +186,9 @@ def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
         j_value = float("nan")
         converged = False
         residual = float("inf")
-    p_path = _as_increasing(p)
+    p_path = _as_increasing(p.zetas, p.values)
     return CriticalPoint(p_path, q_prime, float(j_value), float(residual),
                          iters, converged, float(t), float(t_hat))
-
-
-def _as_increasing(p):
-    """Return p as a PiecewisePath, absorbing roundoff-scale dips."""
-    try:
-        return PiecewisePath(p.zetas, p.values)
-    except NotIncreasing:
-        return PiecewisePath(p.zetas, clip_increments(p.values))
 
 
 def t_critical(model) -> float:

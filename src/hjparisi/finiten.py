@@ -86,14 +86,13 @@ def _interleave(j, p, N, D):
 
 def sample_hamiltonian(model, N, seed) -> DisorderSample:
     """Independent coefficient blocks per degree with cross-slot
-    covariance given by the model's coefficient matrices."""
+    covariance given by the model's coefficient matrices, drawn with
+    their square roots model.factors."""
     _check_size(model, N)
     rng = node_rng(seed, 10)
     D = model.D
     terms = []
-    for p, c in model.terms:
-        lam, vec = np.linalg.eigh(c)
-        factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+    for (p, _), factor in zip(model.terms, model.factors):
         z = rng.standard_normal((N ** p, D ** p))
         j = z @ factor.T
         tensor = _interleave(j, p, N, D) * N ** (-(p - 1) / 2.0)

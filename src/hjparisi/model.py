@@ -8,10 +8,11 @@ probability measure on the closed unit ball of R^D.
 
 from __future__ import annotations
 
+import itertools
 import string
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -25,13 +26,17 @@ _LETTERS = string.ascii_lowercase
 
 @dataclass(frozen=True, eq=False)
 class XiModel:
+    """Validated coefficient terms (p, C_p).  factors[i] is a square root
+    F_p of terms[i]'s C_p (F_p F_p^T = C_p, negative rounding-size
+    eigenvalues clipped), from the eigen-decomposition that checked C_p."""
+
     D: int
     terms: tuple
 
     def __post_init__(self):
         if not (1 <= self.D <= MAX_DIM):
             raise ValidationError(f"D must be in 1..{MAX_DIM}, got {self.D}")
-        checked = []
+        checked, factors = [], []
         for p, c in self.terms:
             p = int(p)
             if not (1 <= p <= MAX_DEGREE):
@@ -43,12 +48,15 @@ class XiModel:
                     f"coefficient for degree {p} must be {n}x{n}, got {c.shape}")
             if float(np.max(np.abs(c - c.T))) > 1e-9:
                 raise ValidationError(f"coefficient for degree {p} is not symmetric")
-            lam = float(np.linalg.eigvalsh(sym(c))[0])
-            if lam < -1e-10:
+            c = sym(c)
+            lam, vec = np.linalg.eigh(c)
+            if lam[0] < -1e-10:
                 raise ValidationError(
-                    f"coefficient for degree {p} has eigenvalue {lam:.3e}")
-            checked.append((p, sym(c)))
+                    f"coefficient for degree {p} has eigenvalue {lam[0]:.3e}")
+            checked.append((p, c))
+            factors.append(vec * np.sqrt(np.clip(lam, 0.0, None)))
         object.__setattr__(self, "terms", tuple(checked))
+        object.__setattr__(self, "factors", tuple(factors))
 
     def degrees(self):
         return [p for p, _ in self.terms]
@@ -96,47 +104,46 @@ def _c_tensor(model, p, c):
     return c.reshape((model.D,) * (2 * p))
 
 
+@lru_cache(maxsize=None)
+def _subscripts(p, free, batch):
+    """einsum subscripts contracting C_p against a in every slot but the
+    free ones, whose index pairs are left in the output in that order;
+    batch prefixes a batch index z to every a and to the output."""
+    z = "z" if batch else ""
+    pairs = [_LETTERS[k] + _LETTERS[p + k] for k in range(p)]
+    ops = [z + pairs[k] for k in range(p) if k not in free]
+    return (",".join([_LETTERS[: 2 * p]] + ops) + "->" + z
+            + "".join(pairs[k] for k in free))
+
+
+def _contract(model, a, order, batch=False):
+    """The order-th derivative tensor of xi at a, shape (B,)*batch +
+    (D,)*(2*order): for each term, the sum over ordered choices of order
+    distinct free slots of C_p contracted against a in the others."""
+    out = np.zeros(((len(a),) if batch else ()) + (model.D,) * (2 * order))
+    for p, c in model.terms:
+        ct = _c_tensor(model, p, c)
+        for free in itertools.permutations(range(p), order):
+            out += np.einsum(_subscripts(p, free, batch), ct,
+                             *([a] * (p - order)))
+    return out
+
+
 def xi_eval(model, a) -> float:
     """Evaluate the covariance polynomial at the matrix a."""
     a = np.asarray(a, dtype=float).reshape(model.D, model.D)
-    total = 0.0
-    for p, c in model.terms:
-        subs = [_LETTERS[: 2 * p]]
-        for k in range(p):
-            subs.append(_LETTERS[k] + _LETTERS[p + k])
-        expr = ",".join(subs) + "->"
-        total += float(np.einsum(expr, _c_tensor(model, p, c), *([a] * p)))
-    return total
+    return float(_contract(model, a, 0))
 
 
 def xi_eval_batch(model, r) -> np.ndarray:
     """Vectorized xi over a batch of matrices, shape (B, D, D) -> (B,)."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros(r.shape[0])
-    for p, c in model.terms:
-        subs = [_LETTERS[: 2 * p]]
-        for k in range(p):
-            subs.append("z" + _LETTERS[k] + _LETTERS[p + k])
-        expr = ",".join(subs) + "->z"
-        out += np.einsum(expr, _c_tensor(model, p, c), *([r] * p))
-    return out
+    return _contract(model, np.asarray(r, dtype=float), 0, batch=True)
 
 
 def xi_grad(model, a):
     """Gradient of xi at a symmetric matrix, symmetrized on output."""
     a = sym(np.asarray(a, dtype=float).reshape(model.D, model.D))
-    grad = np.zeros((model.D, model.D))
-    for p, c in model.terms:
-        ct = _c_tensor(model, p, c)
-        for m in range(p):
-            subs = [_LETTERS[: 2 * p]]
-            ops = []
-            for k in range(p):
-                if k != m:
-                    subs.append(_LETTERS[k] + _LETTERS[p + k])
-                    ops.append(a)
-            expr = ",".join(subs) + "->" + _LETTERS[m] + _LETTERS[p + m]
-            grad += np.einsum(expr, ct, *ops)
+    grad = _contract(model, a, 1)
     asymmetry = float(np.max(np.abs(grad - grad.T)))
     if asymmetry > 1e-10:
         warnings.warn(
@@ -149,26 +156,7 @@ def xi_hessian(model, a):
     """Hessian of xi at a, returned as a (D*D, D*D) matrix."""
     a = sym(np.asarray(a, dtype=float).reshape(model.D, model.D))
     d = model.D
-    hess = np.zeros((d, d, d, d))
-    for p, c in model.terms:
-        if p < 2:
-            continue
-        ct = _c_tensor(model, p, c)
-        for m in range(p):
-            for n in range(p):
-                if n == m:
-                    continue
-                subs = [_LETTERS[: 2 * p]]
-                ops = []
-                for k in range(p):
-                    if k not in (m, n):
-                        subs.append(_LETTERS[k] + _LETTERS[p + k])
-                        ops.append(a)
-                out = (_LETTERS[m] + _LETTERS[p + m]
-                       + _LETTERS[n] + _LETTERS[p + n])
-                expr = ",".join(subs) + "->" + out
-                hess += np.einsum(expr, ct, *ops)
-    return hess.reshape(d * d, d * d)
+    return _contract(model, a, 2).reshape(d * d, d * d)
 
 
 def theta_eval(model, a) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBreakpoints, NotIncreasing
-from .util import PSD_TOL, frob, psd_sqrt, sym
+from .util import PSD_TOL, frob, sym
 
 __all__ = [
     "SignedPiecewisePath",
@@ -61,11 +61,12 @@ class SignedPiecewisePath:
         if np.any(np.diff(zetas) <= 0.0) or zetas[-1] >= 1.0:
             raise BadBreakpoints(
                 "breakpoints must be strictly increasing inside [0, 1)")
-        asym = float(np.max(np.abs(values - sym(values)))) if values.size else 0.0
+        symmetric = sym(values)
+        asym = float(np.max(np.abs(values - symmetric))) if values.size else 0.0
         if asym > 1e-9:
             raise BadBreakpoints(f"values must be symmetric (deviation {asym:.2e})")
         object.__setattr__(self, "zetas", zetas)
-        object.__setattr__(self, "values", sym(values))
+        object.__setattr__(self, "values", symmetric)
 
     @property
     def K(self) -> int:
@@ -98,16 +99,21 @@ class SignedPiecewisePath:
 
 
 class PiecewisePath(SignedPiecewisePath):
-    """Increasing step path: all increments PSD within tolerance."""
+    """Increasing step path: all increments PSD within tolerance.
+
+    The eigen-decomposition (lam, vec) of the increments that validates
+    the path is kept for sqrt_increments.
+    """
 
     def __post_init__(self):
         super().__post_init__()
-        incs = self.increments()
-        for k, inc in enumerate(incs):
-            lam = float(np.linalg.eigvalsh(inc)[0])
-            if lam < -PSD_TOL:
-                raise NotIncreasing(
-                    f"increment {k} has eigenvalue {lam:.3e} below -{PSD_TOL:.0e}")
+        lam, vec = np.linalg.eigh(self.increments())
+        bad = np.flatnonzero(lam[:, 0] < -PSD_TOL)
+        if bad.size:
+            k = int(bad[0])
+            raise NotIncreasing(f"increment {k} has eigenvalue "
+                                f"{lam[k, 0]:.3e} below -{PSD_TOL:.0e}")
+        object.__setattr__(self, "_eig", (lam, vec))
 
 
 def path_new(zetas, values) -> PiecewisePath:
@@ -119,22 +125,22 @@ def signed_path_new(zetas, values) -> SignedPiecewisePath:
     return SignedPiecewisePath(np.asarray(zetas, dtype=float), values)
 
 
-def common_refinement(q, q_prime):
-    """Rewrite both paths on the union of their breakpoints."""
-    merged = np.union1d(q.zetas, q_prime.zetas)
-    return _on_partition(q, merged), _on_partition(q_prime, merged)
-
-
 def _on_partition(path, zetas):
     idx = np.searchsorted(path.zetas, zetas, side="right") - 1
     return type(path)(zetas, path.values[np.clip(idx, 0, path.K)])
 
 
 def refine_all(paths):
+    """Rewrite every path on the union of their breakpoints."""
     merged = paths[0].zetas
     for p in paths[1:]:
         merged = np.union1d(merged, p.zetas)
     return [_on_partition(p, merged) for p in paths]
+
+
+def common_refinement(q, q_prime):
+    """refine_all of the two paths."""
+    return refine_all([q, q_prime])
 
 
 def lp_distance(q, q_prime, p=2.0) -> float:
@@ -195,11 +201,15 @@ def uniform_increase_check(q, c, ramp_slope=0.0, tol=1e-9) -> bool:
 
 
 def sqrt_increments(q):
-    """Principal square roots of the increments of an increasing path."""
-    try:
-        return [psd_sqrt(inc, clip_tol=PSD_TOL) for inc in q.increments()]
-    except ValueError as exc:
-        raise NotIncreasing(str(exc)) from exc
+    """Principal square roots of the increments of an increasing path,
+    shape (K+1, D, D), from the eigen-decomposition its validation kept.
+    Any other path is validated first, so it raises NotIncreasing unless
+    its increments are PSD; eigenvalues in [-PSD_TOL, 0) count as zero."""
+    if not isinstance(q, PiecewisePath):
+        q = PiecewisePath(q.zetas, q.values)
+    lam, vec = q._eig
+    root = vec * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
+    return root @ np.swapaxes(vec, 1, 2)
 
 
 def path_from_json_dict(d):

@@ -44,32 +44,14 @@ def frob(a):
     return float(np.linalg.norm(a))
 
 
-def psd_sqrt(a, clip_tol=PSD_TOL):
-    """Principal square root of a symmetric PSD matrix.
-
-    Eigenvalues in [-clip_tol, 0) are clamped to zero; anything more
-    negative raises ValueError.
-    """
-    lam, vec = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    if lam[0] < -clip_tol:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {lam[0]:.3e})")
-    lam = np.clip(lam, 0.0, None)
-    return (vec * np.sqrt(lam)) @ vec.T
-
-
-def project_psd(a):
-    """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    lam, vec = np.linalg.eigh(sym(np.asarray(a, dtype=float)))
-    return (vec * np.clip(lam, 0.0, None)) @ vec.T
-
-
 def clip_increments(values, tol=np.inf):
     """Forward PSD-increment clip of a sequence of symmetric matrices.
 
     Returns out with out_k = out_{k-1} + [sym(v_k) - out_{k-1}]_+ and
     out_{-1} = 0, where [.]_+ sets negative eigenvalues to zero, so every
     increment of out is PSD.  An increment with an eigenvalue below -tol
-    raises NotIncreasing.
+    raises NotIncreasing.  On one matrix, clip_increments([a])[0] is the
+    nearest PSD matrix to sym(a) in Frobenius norm.
     """
     out = []
     prev = np.zeros_like(values[0], dtype=float)

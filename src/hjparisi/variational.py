@@ -21,7 +21,7 @@ from .model import (grad_lipschitz_upper_bound, sym_basis, theta_eval,
                     xi_grad, xi_hessian, xi_star)
 from .onebody import QuadratureSpec, psi_eval, psi_grad
 from .paths import PiecewisePath
-from .util import _Ascent, chunked_thread_map, node_rng, project_psd, sym
+from .util import _Ascent, chunked_thread_map, clip_increments, node_rng, sym
 
 __all__ = [
     "VariationalResult", "parisi_sup", "hopf_lax_value", "classic_parisi",
@@ -53,12 +53,12 @@ def _merged_partition(q, partition):
     if partition is None:
         extra = _default_interior(q.D)
     else:
-        extra = tuple(float(z) for z in partition if 0.0 < z < 1.0)
-    zetas = np.unique(np.concatenate([np.asarray(q.zetas, dtype=float),
-                                      [0.0], extra]))
-    if zetas[-1] >= 1.0:
-        raise ValidationError("partition breakpoints must be below 1")
-    return zetas
+        extra = tuple(float(z) for z in partition)
+        if not all(0.0 < z < 1.0 for z in extra):
+            raise ValidationError(
+                f"partition breakpoints must lie in (0, 1), got {list(extra)}")
+    return np.unique(np.concatenate([np.asarray(q.zetas, dtype=float),
+                                     [0.0], extra]))
 
 
 def _refit(path, zetas):
@@ -280,7 +280,7 @@ def parisi_std(model, P1, opts=None, quad=None, threads=None) -> float:
         improved = False
         for b_mat in basis:
             for sgn in (1.0, -1.0):
-                cand = project_psd(y + sgn * step * b_mat)
+                cand = clip_increments([y + sgn * step * b_mat])[0]
                 if np.allclose(cand, y, atol=1e-14):
                     continue
                 val = h_val(cand)

@@ -161,6 +161,32 @@ def test_parisi_sup_with_partition(files, capsys):
     assert res["value"] >= 0.009961506493 - 1e-7
 
 
+def test_parisi_sup_rejects_a_partition_outside_the_unit_interval(
+        files, capsys):
+    code, out, err = run_cli(["parisi", "sup", "--model", files["sk.json"],
+                              "--path", files["zero.json"], "--t", "0.5",
+                              "--partition", "0.5,1.5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "(0, 1)" in err
+
+
+@pytest.mark.parametrize("command, option", [
+    (["crit", "sweep", "--model", "sk.json", "--path", "q2.json"],
+     "--t-grid"),
+    (["parisi", "sup", "--model", "sk.json", "--path", "q2.json",
+      "--t", "0.5"], "--partition"),
+    (["cascade", "diag"], "--zetas"),
+])
+def test_malformed_number_lists_are_usage_errors(files, capsys, command,
+                                                 option):
+    argv = [files.get(a, a) for a in command] + [option, "0.1,abc"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert option in err
+
+
 def test_cascade_diag(files, capsys):
     code, out, _ = run_cli(["cascade", "diag", "--zetas", "0.3,0.6",
                             "--nmax", "16", "--draws", "2000",

@@ -72,6 +72,17 @@ def test_free_energy_deterministic():
     assert a.mean != c.mean
 
 
+def test_free_energy_on_built_model_and_path_makes_no_eigen_call(
+        eigen_calls):
+    # the Hamiltonian's factors and the field's roots both come from the
+    # decompositions that validated the model and the path
+    model = frobenius_square(0.8, 2)
+    q = path_new([0.0, 0.5], [np.diag([0.1, 0.05]), np.diag([0.3, 0.2])])
+    eigen_calls.clear()
+    free_energy_mc(model, ising_measure(2), 2, 0.1, q, 0.05, 20, 4, seed=3)
+    assert eigen_calls == []
+
+
 def test_free_energy_validation():
     with pytest.raises(ValidationError):
         free_energy_mc(sk(1.0), P1, 2, -0.1, Q2, 0.0, 100, 16, 0)

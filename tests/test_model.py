@@ -24,7 +24,7 @@ from hjparisi import (
     xi_star,
 )
 from hjparisi.critpoint import t_critical
-from hjparisi.model import grad_lipschitz_upper_bound, sym_basis
+from hjparisi.model import grad_lipschitz_upper_bound, sym_basis, xi_eval_batch
 
 
 def test_xi_hand_values():
@@ -60,6 +60,18 @@ def test_xi_grad_and_hessian_match_finite_differences():
                           - xi_grad(model, a - eps * e)) / (2 * eps)
                     np.testing.assert_allclose(
                         (h @ e.reshape(-1)).reshape(D, D), gd, atol=5e-7)
+
+
+def test_xi_eval_batch_equals_xi_eval_exactly():
+    rng = np.random.default_rng(4)
+    mixed = XiModel(2, ((1, np.diag([0.3, 0.1])),
+                        (3, 0.2 * np.eye(8))))
+    for model in (sk(0.8), pure_p(4, 0.5), bipartite(1.2),
+                  frobenius_square(0.9, 3), mixed):
+        m = rng.standard_normal((7, model.D, model.D))
+        r = m @ np.swapaxes(m, 1, 2) / model.D
+        batch = xi_eval_batch(model, r)
+        assert batch.tolist() == [xi_eval(model, a) for a in r]
 
 
 def test_theta_closed_forms():

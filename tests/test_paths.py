@@ -136,6 +136,35 @@ def test_sqrt_increments_reconstruct():
     np.testing.assert_allclose(roots[1] @ roots[1], v1 - v0, atol=1e-12)
 
 
+def test_validation_and_roots_take_one_eigen_call(eigen_calls):
+    q = scalar_path([0.0, 0.25, 0.5], [0.1, 0.2, 0.4])
+    sqrt_increments(q)
+    assert len(eigen_calls) == 1
+
+
+def test_sqrt_increments_match_per_increment_roots_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        D, K = int(rng.integers(1, 4)), int(rng.integers(0, 4))
+        incs = []
+        for _ in range(K + 1):
+            m = rng.standard_normal((D, int(rng.integers(0, D + 1))))
+            incs.append(m @ m.T)
+        zetas = np.linspace(0.0, 0.8, K + 1)
+        q = path_new(zetas, np.cumsum(incs, axis=0))
+        expected = []
+        for inc in q.increments():
+            lam, vec = np.linalg.eigh(inc)
+            expected.append((vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T)
+        np.testing.assert_array_equal(sqrt_increments(q), expected)
+
+
+def test_sqrt_increments_rejects_a_decreasing_signed_path():
+    kappa = signed_path_new([0.0, 0.5], [[[0.3]], [[0.1]]])
+    with pytest.raises(NotIncreasing):
+        sqrt_increments(kappa)
+
+
 def test_json_roundtrip():
     q = path_new([0.0, 0.3], [np.diag([0.1, 0.05]), np.diag([0.3, 0.2])])
     d = path_to_json_dict(q)
