@@ -236,7 +236,7 @@ class GGCheckResult:
     draws: int
 
 
-def gg_check(cascade, f, n, draws, seed, tuples_per_cascade=8) -> GGCheckResult:
+def gg_check(cascade, f, n, draws, seed) -> GGCheckResult:
     """Ghirlanda-Guerra residual for a bounded overlap-array statistic.
 
     Estimates | E<f R^{1,n+1}> - (1/n) E<f> E<R^{1,2}>
@@ -255,7 +255,8 @@ def gg_check(cascade, f, n, draws, seed, tuples_per_cascade=8) -> GGCheckResult:
     K, n_max = cascade.K, cascade.n_max
     zet = np.concatenate([[0.0], cascade.zetas])   # level value map, k -> zeta_k
     rng = node_rng(seed, 3)
-    n_casc = max(20, draws // tuples_per_cascade)
+    tuples = 8                  # replica tuples sampled per cascade
+    n_casc = max(20, draws // tuples)
     groups = 20
     per_group = max(1, n_casc // groups)
     deltas = []
@@ -283,9 +284,9 @@ def gg_check(cascade, f, n, draws, seed, tuples_per_cascade=8) -> GGCheckResult:
             exact_mass = share[:K + 1] - share[1:K + 2]
             b_leaf = zet @ exact_mass
             r12 = float(zet @ (exact_mass @ w))
-            tup = _gumbel_pick(np.broadcast_to(logw, (tuples_per_cascade, L)),
+            tup = _gumbel_pick(np.broadcast_to(logw, (tuples, L)),
                                rng, n)          # (n, tuples)
-            for t in range(tuples_per_cascade):
+            for t in range(tuples):
                 leaves = tup[:, t]
                 lv = _pair_levels(leaves[:, None], leaves[None, :], n_max, K)
                 rmat = zet[np.minimum(lv, K)]

@@ -22,7 +22,7 @@ from . import model as mdl
 from . import onebody as ob
 from . import variational as var
 from .errors import NonConvergence, ValidationError
-from .paths import path_from_json_dict, path_to_json_dict
+from .paths import PiecewisePath, path_from_json_dict, path_to_json_dict
 
 SCHEMA_VERSION = 1
 
@@ -145,45 +145,39 @@ def psi():
     """One-body free energy."""
 
 
-@psi.command("eval")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@nodes_option
-@click.option("--mc-samples", type=int, default=None,
-              help="enable the budget fallback with this many samples")
-@click.option("--mc-seed", type=int, default=0)
-@threads_option
-@click.option("--out", default=None)
-def psi_eval_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
-                 out):
-    _, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    res = ob.psi_eval(p1, q, _quad(nodes, mc_samples, mc_seed),
-                      threads=threads)
-    config = {"model": model_path, "path": path_path, "nodes": nodes,
-              "mc_samples": mc_samples, "mc_seed": mc_seed}
-    _emit(_payload(config, {"value": res.value, "method": res.method,
-                            "error_estimate": res.error_estimate}), out)
+def _psi_command(name, grad):
+    """psi eval, or with grad psi grad: one recursion pass, whose result
+    names the method that served it."""
+
+    @psi.command(name)
+    @click.option("--model", "model_path", required=True)
+    @click.option("--path", "path_path", required=True)
+    @nodes_option
+    @click.option("--mc-samples", type=int, default=None,
+                  help="enable the budget fallback with this many samples")
+    @click.option("--mc-seed", type=int, default=0)
+    @threads_option
+    @click.option("--out", default=None)
+    def command(model_path, path_path, nodes, mc_samples, mc_seed, threads,
+                out):
+        _, p1 = _load_model(model_path)
+        res, g = ob._psi_pass(p1, _load_path(path_path),
+                              _quad(nodes, mc_samples, mc_seed),
+                              threads=threads, grad=grad)
+        result = {"method": res.method, "error_estimate": res.error_estimate}
+        if grad:
+            result["gradient"] = path_to_json_dict(g)
+        else:
+            result["value"] = res.value
+        config = {"model": model_path, "path": path_path, "nodes": nodes,
+                  "mc_samples": mc_samples, "mc_seed": mc_seed}
+        _emit(_payload(config, result), out)
+
+    return command
 
 
-@psi.command("grad")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@nodes_option
-@click.option("--mc-samples", type=int, default=None,
-              help="enable the budget fallback with this many samples")
-@click.option("--mc-seed", type=int, default=0)
-@threads_option
-@click.option("--out", default=None)
-def psi_grad_cmd(model_path, path_path, nodes, mc_samples, mc_seed, threads,
-                 out):
-    _, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    g = ob.psi_grad(p1, q, _quad(nodes, mc_samples, mc_seed),
-                    threads=threads)
-    config = {"model": model_path, "path": path_path, "nodes": nodes,
-              "mc_samples": mc_samples, "mc_seed": mc_seed}
-    _emit(_payload(config, {"gradient": path_to_json_dict(g)}), out)
+psi_eval_cmd = _psi_command("eval", grad=False)
+psi_grad_cmd = _psi_command("grad", grad=True)
 
 
 @cli.group()
@@ -206,7 +200,7 @@ def _cp_dict(c):
 @click.option("--tol", type=float, default=1e-8)
 @click.option("--damping", type=float, default=0.5)
 @click.option("--max-iters", type=int, default=500)
-@click.option("--refine", type=int, default=0,
+@click.option("--refine", type=click.IntRange(min=0), default=0,
               help="split every block of the path evenly this many times")
 @nodes_option
 @threads_option
@@ -229,7 +223,6 @@ def crit_solve(model_path, path_path, t, that, tol, damping, max_iters,
 
 
 def _split_blocks(q):
-    from .paths import PiecewisePath
     zetas, values = [], []
     ext = list(q.zetas) + [1.0]
     for k, v in enumerate(q.values):

@@ -12,15 +12,16 @@ the residual with that gradient on the same quadrature.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotIncreasing, ValidationError
-from .model import grad_lipschitz_const, theta_eval, xi_eval, xi_grad
-from .onebody import QuadratureSpec, psi_eval, psi_grad
+from .model import (grad_lipschitz_const, grad_lipschitz_upper_bound,
+                    theta_eval, xi_eval, xi_grad, xi_hessian)
+from .onebody import QuadratureSpec, _psi_pass, psi_eval, psi_grad
 from .paths import PiecewisePath, SignedPiecewisePath, refine_all
-from .util import clip_increments
+from .util import check_times, clip_increments, sym
 
 __all__ = [
     "CriticalPoint", "SolverOptions", "hj_functional", "parisi_functional",
@@ -59,21 +60,36 @@ def hj_functional(model, P1, t, q, q_prime, p, quad, threads=None) -> float:
     return psi + pairing + t * xi_int
 
 
+def _parisi_terms(model, P1, t, zetas, qv, blocks, quad, tilt=None,
+                  threads=None, grad=False):
+    """(P, its L2 block gradient if grad else None) for the blocks p and
+    q's values qv on the partition zetas, P being parisi_functional's.
+
+    The gradient t Hess-xi(p_k)[grad-psi_k - p_k] (d theta(p) =
+    Hess-xi(p)[p]) comes from psi's recursion pass.  Raises NotIncreasing
+    when q + t grad-xi(p) is not increasing.
+    """
+    shifted = PiecewisePath(
+        zetas, [a + t * xi_grad(model, b) for a, b in zip(qv, blocks)])
+    res, g = _psi_pass(P1, shifted, quad, tilt, threads, grad)
+    lens = np.diff(np.append(zetas, 1.0))
+    value = res.value - t * sum(l * theta_eval(model, b)
+                                for l, b in zip(lens, blocks))
+    if g is None:
+        return value, None
+    return value, [t * sym((xi_hessian(model, b) @ (pk - b).ravel())
+                           .reshape(b.shape))
+                   for b, pk in zip(blocks, g.values)]
+
+
 def parisi_functional(model, P1, t, q, p, quad, threads=None) -> float:
     """P = psi(q + t grad-xi(p)) - t * int_0^1 theta(p)."""
     q, p = refine_all([q, p])
-    for v in p.values:
-        if np.linalg.norm(v) > 1.0 + 1e-9:
-            log.warning("parisi_functional: block norm %.3f exceeds 1",
-                        np.linalg.norm(v))
-            break
-    shifted = PiecewisePath(
-        q.zetas, [qv + t * xi_grad(model, pv)
-                  for qv, pv in zip(q.values, p.values)])
-    psi = psi_eval(P1, shifted, quad, threads=threads).value
-    theta_int = float(sum(l * theta_eval(model, v)
-                          for l, v in zip(p.lengths(), p.values)))
-    return psi - t * theta_int
+    top = max(np.linalg.norm(v) for v in p.values)
+    if top > 1.0 + 1e-9:
+        log.warning("parisi_functional: block norm %.3f exceeds 1", top)
+    return float(_parisi_terms(model, P1, t, q.zetas, q.values, p.values,
+                               quad, threads=threads)[0])
 
 
 def hat_functional(model, P1, t, t_hat, q, q_prime, p, quad,
@@ -149,8 +165,7 @@ def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
     reproduces it exactly.  Non-convergence is returned as data
     (converged=False), never raised.
     """
-    if t < 0 or t_hat < 0:
-        raise ValidationError("t and t_hat must be nonnegative")
+    check_times(t, t_hat)
     opts = opts or SolverOptions()
     quad = quad or QuadratureSpec()
     if opts.initial_p is not None:
@@ -199,36 +214,31 @@ def t_critical(model) -> float:
 
 
 def continuation(model, P1, t_grid, t_hat, q, opts=None, quad=None,
-                 jump_threshold=None, threads=None):
+                 threads=None):
     """Warm-started solves along an increasing t grid.
 
-    Adjacent solutions whose L2 distance exceeds jump_threshold (default:
-    10 x grid spacing x an analytic gradient-Lipschitz bound) are logged
-    as candidate branch jumps; the full list of CriticalPoint results is
-    returned regardless.
+    Adjacent solutions farther apart in L2 than 10 x grid spacing x an
+    analytic gradient-Lipschitz bound are logged as candidate branch
+    jumps; the full list of CriticalPoint results is returned regardless.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) == 0 or np.any(np.diff(t_grid) < 0):
         raise ValidationError("t_grid must be nondecreasing and nonempty")
+    for t in t_grid:
+        check_times(t, t_hat)
     opts = opts or SolverOptions()
     results = []
     prev_p = opts.initial_p
     for t in t_grid:
-        step_opts = SolverOptions(opts.damping, opts.tol, opts.max_iters,
-                                  prev_p)
-        cp = solve_critical(model, P1, float(t), t_hat, q, step_opts, quad,
+        cp = solve_critical(model, P1, float(t), t_hat, q,
+                            replace(opts, initial_p=prev_p), quad,
                             threads=threads)
         results.append(cp)
         prev_p = cp.p
-    if len(results) > 1:
-        from .model import grad_lipschitz_upper_bound
-        lip = max(grad_lipschitz_upper_bound(model), 1e-12)
-        for a, b, t0, t1 in zip(results, results[1:], t_grid, t_grid[1:]):
-            gap = block_norm_l2(_diff_path(b.p, a.p))
-            thr = jump_threshold
-            if thr is None:
-                thr = 10.0 * max(t1 - t0, 1e-12) * lip
-            if gap > thr:
-                log.warning("continuation: candidate branch jump |dp|=%.3g "
-                            "between t=%.6g and t=%.6g", gap, t0, t1)
+    lip = max(grad_lipschitz_upper_bound(model), 1e-12)
+    for a, b, t0, t1 in zip(results, results[1:], t_grid, t_grid[1:]):
+        gap = block_norm_l2(_diff_path(b.p, a.p))
+        if gap > 10.0 * max(t1 - t0, 1e-12) * lip:
+            log.warning("continuation: candidate branch jump |dp|=%.3g "
+                        "between t=%.6g and t=%.6g", gap, t0, t1)
     return results

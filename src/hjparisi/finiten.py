@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval, xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
 from .paths import lp_distance, sqrt_increments
-from .util import chunked_thread_map, node_rng
+from .util import check_times, chunked_thread_map, node_rng
 
 __all__ = [
     "DisorderSample", "McEstimate", "OverlapLaw", "sample_hamiltonian",
@@ -249,8 +249,7 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     perturbation; inner sums over configurations and retained leaves are
     exact.
     """
-    if t < 0 or t_hat < 0:
-        raise ValidationError("t and t_hat must be nonnegative")
+    check_times(t, t_hat)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     session = _Session(model, P1, N, q, n_max)
@@ -286,6 +285,7 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     scalar-overlap histogram (D=1 only) costs a configuration-pair
     matmul per level and is opt-in.
     """
+    check_times(t, t_hat)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     if with_histogram:
@@ -410,6 +410,7 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     drawn in one pass.  Every session truncates its cascade at n_max
     atoms per node.
     """
+    check_times(t)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     # check (d)'s psi first: past the quadrature budget, fail before sampling

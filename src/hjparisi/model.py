@@ -272,7 +272,7 @@ def xi_star(model, a, radius, x0=None, return_argmax=False):
     def objective(blocks):
         b = blocks[0]
         return (float(np.sum(a * b)) - xi_eval(model, b),
-                lambda: [a - xi_grad(model, b)])
+                [a - xi_grad(model, b)])
 
     inits = [] if x0 is None else [np.asarray(x0, dtype=float)]
     inits += [np.zeros_like(a), a, 0.25 * radius * np.eye(model.D)]

@@ -89,9 +89,9 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
     node_sets[l] has shape (G_l, D); the innermost free-energy kernel is
     evaluated on the full product grid, then levels are collapsed inward
     with X_{l-1} = zeta_l^{-1} log E exp(zeta_l X_l) and a plain average
-    at the root.  Returns X_0 values per outermost node, shape (G_0,).
+    at the root.  Returns (X_0 per outermost node, shape (G_0,), M).
 
-    With moments, the same pass also returns M of shape (G_0, K+1, D, D):
+    M is None unless moments is set, and then has shape (G_0, K+1, D, D):
     M[g, k] sums r mu_k mu_k^T over the level-k descendants of root node
     g, where mu_K is the atom Gibbs mean at an innermost node,
     mu_{l-1} = sum r_l mu_l over the children, and r is the product of
@@ -128,7 +128,7 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
                 rs[l] = np.exp(t - zetas[l] * x[..., None])
                 mus[l - 1] = (rs[l][..., None, :] @ mus[l])[..., 0, :]
         if not moments:
-            return x
+            return x, None
         m = np.empty((c, K + 1, D, D))
         pi = np.ones(c)
         for k in range(K + 1):
@@ -139,14 +139,12 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
         return x, m
 
     parts = chunked_thread_map(one_chunk, starts, threads)
-    if not moments:
-        return np.concatenate(parts)
-    return (np.concatenate([x for x, _ in parts]),
-            np.concatenate([m for _, m in parts]))
+    x0 = np.concatenate([x for x, _ in parts])
+    return x0, np.concatenate([m for _, m in parts]) if moments else None
 
 
 def _levels(q, quad):
-    """Per-level node sets and log-weights shared by psi_eval and psi_grad.
+    """Per-level node sets and log-weights of the recursion pass.
 
     Gauss-Hermite tensor nodes when the full grid fits NODE_BUDGET;
     otherwise, given quad.mc_fallback, equal-weight Monte Carlo node sets
@@ -175,6 +173,24 @@ def _levels(q, quad):
     return node_sets, logw_sets, "mc"
 
 
+def _psi_pass(P1, q, quad, tilt=None, threads=None, grad=False):
+    """(psi_eval's PsiResult, psi_grad's path if grad else None), both from
+    one recursion pass."""
+    node_sets, logw_sets, method = _levels(q, quad)
+    const, atoms_t = _atom_terms(P1, q.final_value, tilt)
+    x0, m = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q),
+                       const, atoms_t, threads, moments=grad)
+    w0 = np.exp(logw_sets[0])
+    if method == "mc":
+        stderr = float(x0.std(ddof=1) / np.sqrt(len(x0)))
+        res = PsiResult(-float(x0.mean()), "mc", stderr)
+    else:       # + 0.0 avoids -0.0 in reports
+        res = PsiResult(-float(w0 @ x0) + 0.0, "quadrature", 0.0)
+    if grad:
+        return res, SignedPiecewisePath(q.zetas, np.tensordot(w0, m, 1))
+    return res, None
+
+
 def psi_eval(P1, q, quad, tilt=None, threads=None) -> PsiResult:
     """psi(q) = -E X_0 by nested Gauss-Hermite over the cascade recursion.
 
@@ -185,15 +201,7 @@ def psi_eval(P1, q, quad, tilt=None, threads=None) -> PsiResult:
     shared inner-level samples is not included, so treat it as a lower
     bound.
     """
-    node_sets, logw_sets, method = _levels(q, quad)
-    const, atoms_t = _atom_terms(P1, q.final_value, tilt)
-    x0 = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q), const,
-                    atoms_t, threads)
-    if method == "mc":
-        stderr = float(x0.std(ddof=1) / np.sqrt(len(x0)))
-        return PsiResult(-float(x0.mean()), "mc", stderr)
-    value = -float(np.exp(logw_sets[0]) @ x0) + 0.0    # avoid -0.0 in reports
-    return PsiResult(value, "quadrature", 0.0)
+    return _psi_pass(P1, q, quad, tilt, threads)[0]
 
 
 def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
@@ -278,12 +286,7 @@ def psi_grad(P1, q, quad, tilt=None, threads=None) -> SignedPiecewisePath:
     E tanh^2(sqrt(2 q) Z).  With psi_eval's tilt the Gibbs means are the
     tilted ones and the result is the gradient of psi_eval(..., tilt).
     """
-    node_sets, logw_sets, _ = _levels(q, quad)
-    const, atoms_t = _atom_terms(P1, q.final_value, tilt)
-    _, m = _recursion(node_sets, logw_sets, q.zetas, sqrt_increments(q),
-                      const, atoms_t, threads, moments=True)
-    blocks = np.tensordot(np.exp(logw_sets[0]), m, axes=1)
-    return SignedPiecewisePath(q.zetas, blocks)
+    return _psi_pass(P1, q, quad, tilt, threads, grad=True)[1]
 
 
 def gaussian_cascade_logfree(zetas, tilde_theta) -> float:

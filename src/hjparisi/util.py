@@ -78,8 +78,8 @@ class _Ascent:
     the projection arc b(eta) = P(b + eta g) (Bertsekas 1976), P being
     _monotone_project with the norm cap.
 
-    objective(blocks) returns (value, grad), value being -inf on
-    infeasible blocks and grad() the L2 block gradient.  Each move first
+    objective(blocks) returns the value, -inf on infeasible blocks, and
+    with it (not as a deferred call) the L2 block gradient.  Each move first
     tries the Barzilai-Borwein step <s, s> / -<s, y> (last move s,
     gradient change y), the secant step on a concave quadratic, or twice
     the last step where <s, y> >= 0.  The ascent is done once the
@@ -94,9 +94,10 @@ class _Ascent:
         self.objective, self.cap, self.tol = objective, cap, tol
         self.lens = np.asarray(lens)[:, None, None]
         self.blocks = self.project(np.array(start, dtype=float))
-        self.value, self._grad = objective(self.blocks)
+        self.value, g = objective(self.blocks)
         if not np.isfinite(self.value):
             raise ValidationError("projected start is infeasible")
+        self.g = np.asarray(g)
         self.eta, self._prev = 1.0, None
         self.iters, self.done, self.residual = 0, False, np.inf
 
@@ -107,8 +108,7 @@ class _Ascent:
         return _monotone_project(blocks, self.cap)
 
     def check(self):
-        """Gradient and residual at the current blocks; True once done."""
-        self.g = np.asarray(self._grad())
+        """Residual at the current blocks; True once done."""
         step = (self.project(self.blocks + _RES_STEP * self.g)
                 - self.blocks) / _RES_STEP
         self.residual = self._inner(step, step) ** 0.5
@@ -137,7 +137,15 @@ class _Ascent:
                 self.done = True
                 return
             self._prev = (self.blocks, self.g)
-            self.blocks, self.value, self._grad = cand, cval, cgrad
+            self.blocks, self.value, self.g = cand, cval, np.asarray(cgrad)
+
+
+def check_times(t, t_hat=0.0):
+    """ValidationError unless 0 <= t < inf and 0 <= t_hat < inf."""
+    for name, value in (("t", t), ("t_hat", t_hat)):
+        if not 0.0 <= value < np.inf:
+            raise ValidationError(
+                f"{name} must be finite and nonnegative, got {value:g}")
 
 
 def node_rng(seed, *key):

@@ -4,8 +4,9 @@ classic Parisi functional with a tilt, and the standard sup-inf value.
 
 All optimizers work over a fixed finite partition (default: the
 breakpoints of _default_interior merged with the base path's) by one
-projected-gradient ascent on exact block gradients built from
-onebody.psi_grad; multi-starts are deterministic and reduced best-first.
+projected-gradient ascent on exact block gradients, each from the
+recursion pass of its value; multi-starts are deterministic and reduced
+best-first.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critpoint import SolverOptions
+from .critpoint import SolverOptions, _parisi_terms
 from .errors import NonConvergence, NotIncreasing, ValidationError
-from .model import (grad_lipschitz_upper_bound, sym_basis, theta_eval,
-                    xi_grad, xi_hessian, xi_star)
-from .onebody import QuadratureSpec, psi_eval, psi_grad
+from .model import grad_lipschitz_upper_bound, sym_basis, xi_star
+from .onebody import QuadratureSpec, _psi_pass
 from .paths import PiecewisePath
-from .util import _Ascent, chunked_thread_map, clip_increments, node_rng, sym
+from .util import _Ascent, chunked_thread_map, clip_increments, node_rng
 
 __all__ = [
     "VariationalResult", "parisi_sup", "hopf_lax_value", "classic_parisi",
@@ -92,27 +92,16 @@ def _coordinate_ascent(objective, cap, starts, lens, opts, threads=None):
             best.residual)
 
 
-def _parisi_objective(model, P1, t, zetas, qv, lens, quad, tilt, threads):
-    """psi(q + t grad-xi(b)) - t int theta(b) over step blocks b, with the
-    L2 block gradient t Hess-xi(b_k)[p_k - b_k], p = psi_grad at the
-    shifted path (d theta(b) = Hess-xi(b)[b])."""
+def _parisi_objective(model, P1, t, zetas, qv, quad, tilt, threads):
+    """critpoint._parisi_terms with its gradient over step blocks b, and
+    -inf where q + t grad-xi(b) is not increasing."""
 
     def objective(blocks):
         try:
-            shifted = PiecewisePath(
-                zetas, [a + t * xi_grad(model, b) for a, b in zip(qv, blocks)])
+            return _parisi_terms(model, P1, t, zetas, qv, blocks, quad, tilt,
+                                 threads, grad=True)
         except NotIncreasing:
             return -np.inf, None
-        psi = psi_eval(P1, shifted, quad, tilt=tilt, threads=threads).value
-        theta = sum(l * theta_eval(model, b) for l, b in zip(lens, blocks))
-
-        def grad():
-            p = psi_grad(P1, shifted, quad, tilt=tilt, threads=threads)
-            return [t * sym((xi_hessian(model, b) @ (pk - b).ravel())
-                            .reshape(b.shape))
-                    for b, pk in zip(blocks, p.values)]
-
-        return psi - t * theta, grad
 
     return objective
 
@@ -140,7 +129,7 @@ def parisi_sup(model, P1, t, q, partition=None, opts=None, quad=None,
     lens = np.diff(np.append(zetas, 1.0))
     D = q.D
     objective = _parisi_objective(model, P1, t, zetas, _refit(q, zetas),
-                                  lens, quad, None, threads)
+                                  quad, None, threads)
 
     n_blocks = len(zetas)
     ramp = [0.3 * (k + 1) / n_blocks * np.eye(D) for k in range(n_blocks)]
@@ -186,17 +175,11 @@ def hopf_lax_value(model, P1, t, q, opts=None, quad=None, threads=None,
             path = PiecewisePath(zetas, [a + b for a, b in zip(qv, blocks)])
         except NotIncreasing:
             return -np.inf, None
-        psi = psi_eval(P1, path, quad, threads=threads).value
-        dual, argmax = 0.0, []
-        for l, b in zip(lens, blocks):
-            val, arg = xi_star(model, b / t, radius=2.0, return_argmax=True)
-            dual += l * val
-            argmax.append(arg)
-
-        def grad():
-            return psi_grad(P1, path, quad, threads=threads).values - argmax
-
-        return psi - t * dual, grad
+        psi, g = _psi_pass(P1, path, quad, threads=threads, grad=True)
+        stars = [xi_star(model, b / t, radius=2.0, return_argmax=True)
+                 for b in blocks]
+        dual = sum(l * val for l, (val, _) in zip(lens, stars))
+        return psi.value - t * dual, g.values - [arg for _, arg in stars]
 
     n_blocks = len(zetas)
     small = min(0.5 * box, 0.1)
@@ -215,7 +198,8 @@ def hopf_lax_value(model, P1, t, q, opts=None, quad=None, threads=None,
 
 def classic_parisi(model, P1, pi, x, quad=None, threads=None) -> float:
     """Classic Parisi form: a tilted one-body term for the mapped path
-    grad-xi of pi at half scale, plus half the block integral of theta(pi).
+    grad-xi of pi at half scale, plus half the block integral of theta(pi);
+    that is minus the Parisi functional at t = 1/2, q = 0 with tilt x.
 
     The inner field here carries no sqrt(2); evaluating psi at the
     half-scaled mapped path absorbs the normalization difference.
@@ -225,13 +209,9 @@ def classic_parisi(model, P1, pi, x, quad=None, threads=None) -> float:
     D = pi.D
     if x.shape != (D, D) or np.max(np.abs(x - x.T)) > 1e-9:
         raise ValidationError("tilt must be a symmetric DxD matrix")
-    mapped = PiecewisePath(pi.zetas,
-                           [0.5 * xi_grad(model, v) for v in pi.values])
-    first = -psi_eval(P1, mapped, quad, tilt=x, threads=threads).value
-    lens = pi.lengths()
-    second = 0.5 * float(sum(l * theta_eval(model, v)
-                             for l, v in zip(lens, pi.values)))
-    return first + second
+    zero = np.zeros_like(pi.values)
+    return -float(_parisi_terms(model, P1, 0.5, pi.zetas, zero, pi.values,
+                                quad, tilt=x, threads=threads)[0])
 
 
 def parisi_std(model, P1, opts=None, quad=None, threads=None) -> float:
@@ -260,8 +240,8 @@ def parisi_std(model, P1, opts=None, quad=None, threads=None) -> float:
 
     def inner(y):
         nonlocal starts
-        neg_obj = _parisi_objective(model, P1, 0.5, zetas, zero, lens, quad,
-                                    y, threads)
+        neg_obj = _parisi_objective(model, P1, 0.5, zetas, zero, quad, y,
+                                    threads)
         blocks, value, _, _, _ = _coordinate_ascent(
             neg_obj, 1.0, starts, lens, opts, threads)
         starts = [blocks]

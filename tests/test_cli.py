@@ -53,7 +53,10 @@ def test_psi_grad_payload(files, capsys):
                             "--path", files["q2.json"], "--nodes", "24"],
                            capsys)
     assert code == 0
-    grad = json.loads(out)["result"]["gradient"]
+    result = json.loads(out)["result"]
+    assert result["method"] == "quadrature"
+    assert result["error_estimate"] == 0.0
+    grad = result["gradient"]
     assert grad["zetas"] == [0.0, 0.5]
     assert grad["values"][0][0][0] < grad["values"][1][0][0]
 
@@ -79,6 +82,8 @@ def test_psi_grad_budget_fallback(files, capsys):
     payload = json.loads(out)
     assert payload["config"]["mc_samples"] == 50
     assert payload["config"]["mc_seed"] == 3
+    assert payload["result"]["method"] == "mc"
+    assert payload["result"]["error_estimate"] > 0.0
     ref = psi_grad(ising_measure(2), path_new(zetas, values), QuadratureSpec(
         nodes_per_dim=32, mc_fallback={"samples": 50, "seed": 3}))
     np.testing.assert_allclose(payload["result"]["gradient"]["values"],
@@ -113,6 +118,33 @@ def test_crit_solve_refine_splits_blocks(files, capsys):
                             "--refine", "1"], capsys)
     assert code == 0
     assert json.loads(out)["result"]["p"]["zetas"] == [0.0, 0.5]
+
+
+def test_crit_solve_rejects_a_negative_refine(files, capsys):
+    code, out, err = run_cli(["crit", "solve", "--model", files["sk.json"],
+                              "--path", files["zero.json"], "--t", "0.01",
+                              "--refine", "-3"], capsys)
+    assert code == 64
+    assert out == ""
+    assert "--refine" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["finiteN", "fe", "--n", "2", "--samples", "20", "--t", "nan"],
+    ["finiteN", "fe", "--n", "2", "--samples", "20", "--t", "0.1",
+     "--that", "inf"],
+    ["finiteN", "overlap", "--n", "2", "--samples", "20", "--t", "-0.1"],
+    ["finiteN", "check", "--n", "2", "--samples", "20", "--t", "nan"],
+    ["crit", "solve", "--t", "nan"],
+    ["crit", "sweep", "--t-grid", "0.01,nan"],
+])
+def test_non_finite_or_negative_times_are_validation_errors(files, capsys,
+                                                            command):
+    argv = command + ["--model", files["sk.json"], "--path", files["q2.json"]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "must be finite and nonnegative" in err
 
 
 def test_crit_sweep_csv(files, capsys):

@@ -19,6 +19,7 @@ from hjparisi import (
     solve_critical,
     t_critical,
 )
+from hjparisi import critpoint
 from hjparisi.critpoint import _q_prime_of, block_norm_l2, _diff_path
 from hjparisi.model import xi_grad
 from hjparisi.paths import path_new, signed_path_new
@@ -110,8 +111,10 @@ def test_q_prime_map_absorbs_tiny_dips_only():
 
 def test_solver_validation_and_nonconvergence_as_data():
     q0 = scalar_path([0.0], [0.0])
-    with pytest.raises(ValidationError):
-        solve_critical(sk(1.0), P1, -0.1, 0.0, q0)
+    for t, t_hat in ((-0.1, 0.0), (np.nan, 0.0), (np.inf, 0.0),
+                     (0.1, np.nan)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            solve_critical(sk(1.0), P1, t, t_hat, q0)
     with pytest.raises(ValidationError):
         SolverOptions(damping=0.0)
     with pytest.raises(ValidationError):
@@ -134,6 +137,18 @@ def test_continuation_warm_starts():
     assert results[-1].iterations <= 2
     with pytest.raises(ValidationError):
         continuation(sk(1.0), P1, [0.2, 0.1], 0.0, q0, quad=QUAD)
+
+
+def test_continuation_checks_every_time_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the time check")
+
+    monkeypatch.setattr(critpoint, "solve_critical", no_solve)
+    q0 = scalar_path([0.0], [0.0])
+    for grid, t_hat in (([0.01, np.nan], 0.0), ([0.01, np.inf], 0.0),
+                        ([0.01, 0.02], -0.1)):
+        with pytest.raises(ValidationError, match="must be finite"):
+            continuation(sk(1.0), P1, grid, t_hat, q0, quad=QUAD)
 
 
 def test_t_critical_families():

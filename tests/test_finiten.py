@@ -90,6 +90,25 @@ def test_free_energy_validation():
         free_energy_mc(sk(1.0), P1, 2, 0.1, Q2, 0.0, 1, 16, 0)
 
 
+@pytest.mark.parametrize("t, t_hat", [(-0.1, 0.0), (0.1, -0.1),
+                                      (np.nan, 0.0), (0.1, np.nan),
+                                      (np.inf, 0.0), (0.1, np.inf)])
+def test_time_parameters_are_checked_before_any_work(monkeypatch, t, t_hat):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the time check")
+
+    monkeypatch.setattr(finiten, "_Session", no_work)
+    monkeypatch.setattr(finiten, "psi_eval", no_work)
+    name = "t_hat" if t == 0.1 else "t"
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        free_energy_mc(sk(1.0), P1, 2, t, Q2, t_hat, 100, 16, 0)
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        gibbs_overlap_law(sk(1.0), P1, 2, t, Q2, t_hat, 100, 16, 0)
+    if t_hat == 0.0:
+        with pytest.raises(ValidationError, match="^t must be finite"):
+            identity_checks(sk(1.0), P1, 2, t, Q2, 100, 0)
+
+
 def test_overlap_law_and_identity_checks_reject_too_few_samples(monkeypatch):
     # a stderr needs two samples; the check comes before any session or
     # quadrature work

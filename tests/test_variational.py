@@ -7,6 +7,7 @@ import pytest
 
 from hjparisi import (
     QuadratureSpec,
+    ReferenceMeasure,
     ValidationError,
     bipartite,
     classic_parisi,
@@ -73,6 +74,17 @@ def test_classic_parisi_rs_value():
     got = classic_parisi(sk(0.3), P1, pi, np.zeros((1, 1)),
                          quad=QuadratureSpec(nodes_per_dim=48))
     assert got == pytest.approx(0.001490472812, abs=1e-9)
+
+
+def test_classic_parisi_is_minus_the_parisi_functional():
+    # at zero tilt both run the one Parisi functional at t = 1/2, q = 0;
+    # atoms of unequal norm keep the tilt term from being a constant
+    p1 = ReferenceMeasure(np.array([[1.0], [-0.6], [0.3]]),
+                          np.array([0.3, 0.5, 0.2]))
+    pi = scalar_path([0.0, 0.25, 0.5, 0.75], [0.05, 0.15, 0.3, 0.5])
+    quad = QuadratureSpec(nodes_per_dim=16)
+    got = classic_parisi(sk(0.8), p1, pi, np.zeros((1, 1)), quad)
+    assert got == -parisi_functional(sk(0.8), p1, 0.5, Q0, pi, quad)
 
 
 def test_classic_parisi_tilt_validation():

@@ -4,7 +4,7 @@ differences of the same objectives.
 Each public optimizer hands its objective to variational._coordinate_ascent;
 the tests intercept that call, so the objective checked is the one the
 optimizer climbs, and the difference quotient shares no code with the
-gradient.  The last test bounds the psi calls of one parisi_sup run.
+gradient.  The last tests count the recursion passes of parisi_sup runs.
 """
 
 import numpy as np
@@ -21,6 +21,7 @@ from hjparisi import (
     parisi_std,
     parisi_sup,
     sk,
+    onebody,
     variational,
 )
 from hjparisi.model import sym_basis
@@ -55,8 +56,7 @@ def max_gradient_gap(objective, lens, blocks, h):
     """Largest gap between the L2 gradient and the central difference of
     the objective, divided by the block length, over blocks and a
     symmetric basis."""
-    _, grad = objective(blocks)
-    g = grad()
+    _, g = objective(blocks)
     gap = 0.0
     for k, length in enumerate(lens):
         for e in sym_basis(blocks[0].shape[0]):
@@ -138,25 +138,48 @@ def test_parisi_std_inner_gradient(monkeypatch):
     assert gap <= 2e-9          # measured 2.0e-10
 
 
+def count_recursion_passes(monkeypatch):
+    """A list whose length is the number of onebody._recursion calls."""
+    passes = []
+    recursion = onebody._recursion
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return recursion(*args, **kwargs)
+
+    monkeypatch.setattr(onebody, "_recursion", counted)
+    return passes
+
+
 def test_parisi_sup_psi_call_count(monkeypatch):
     # the single-block oracle instance of test_variational; the
     # finite-difference coordinate ascent made 82 psi_eval calls here, the
-    # gradient ascent makes 22 psi_eval and 18 psi_grad calls
-    calls = {"psi_eval": 0, "psi_grad": 0}
-
-    def counted(name):
-        fn = getattr(variational, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(variational, name, counted(name))
+    # gradient ascent with a deferred gradient 22 psi_eval and 17 psi_grad
+    # calls, and the ascent on eager gradients makes 22 recursion passes
+    passes = count_recursion_passes(monkeypatch)
     res = parisi_sup(sk(1.0), P1, t=0.5, q=path_new([0.0], [[[0.0]]]),
                      partition=(), quad=QuadratureSpec(32))
     assert res.value == pytest.approx(0.009961506493, abs=1e-7)
-    assert calls["psi_eval"] <= 30
-    assert calls["psi_grad"] <= 30
+    assert len(passes) <= 30
+
+
+def test_parisi_sup_takes_value_and_gradient_from_one_pass(monkeypatch):
+    passes = count_recursion_passes(monkeypatch)
+    feasible = []
+    ascent = variational._coordinate_ascent
+
+    def counted_ascent(objective, *args, **kwargs):
+        def counted(blocks):
+            value, g = objective(blocks)
+            if np.isfinite(value):
+                feasible.append(1)
+            return value, g
+
+        return ascent(counted, *args, **kwargs)
+
+    monkeypatch.setattr(variational, "_coordinate_ascent", counted_ascent)
+    q = path_new([0.0, 0.5], [[[0.05]], [[0.15]]])
+    parisi_sup(sk(1.0), P1, 0.4, q, partition=(0.25, 0.75),
+               quad=QuadratureSpec(16))
+    assert len(feasible) > 0
+    assert len(passes) == len(feasible)
