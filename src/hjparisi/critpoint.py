@@ -52,6 +52,7 @@ def _diff_path(a, b):
 
 def hj_functional(model, P1, t, q, q_prime, p, quad, threads=None) -> float:
     """J = psi(q') + <p, q - q'>_{L2} + t * int_0^1 xi(p)."""
+    check_times(t)
     q, q_prime, p = refine_all([q, q_prime, p])
     psi = psi_eval(P1, q_prime, quad, threads=threads).value
     pairing = block_inner(p, _diff_path(q, q_prime))
@@ -84,6 +85,7 @@ def _parisi_terms(model, P1, t, zetas, qv, blocks, quad, tilt=None,
 
 def parisi_functional(model, P1, t, q, p, quad, threads=None) -> float:
     """P = psi(q + t grad-xi(p)) - t * int_0^1 theta(p)."""
+    check_times(t)
     q, p = refine_all([q, p])
     top = max(np.linalg.norm(v) for v in p.values)
     if top > 1.0 + 1e-9:
@@ -95,6 +97,7 @@ def parisi_functional(model, P1, t, q, p, quad, threads=None) -> float:
 def hat_functional(model, P1, t, t_hat, q, q_prime, p, quad,
                    threads=None) -> float:
     """J-hat = J + t_hat * int |p|^2 (Frobenius blockwise)."""
+    check_times(t, t_hat)
     base = hj_functional(model, P1, t, q, q_prime, p, quad, threads=threads)
     _, p_r = refine_all([q, p])
     sq = float(sum(l * np.sum(v * v)

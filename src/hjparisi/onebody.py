@@ -54,10 +54,18 @@ class PsiResult:
     truncation_ratio: float = 0.0
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: cached node sets are shared by every
+    caller and every level of a pass."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @lru_cache(maxsize=32)
 def _gh_nodes_1d(n):
     x, w = np.polynomial.hermite.hermgauss(n)
-    return x * np.sqrt(2.0), np.log(w) - 0.5 * np.log(np.pi)
+    return _read_only(x * np.sqrt(2.0), np.log(w) - 0.5 * np.log(np.pi))
 
 
 @lru_cache(maxsize=16)
@@ -68,7 +76,7 @@ def _gh_nodes(n, D):
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     lgrids = np.meshgrid(*([lw1] * D), indexing="ij")
     lws = sum(g.ravel() for g in lgrids)
-    return pts, lws
+    return _read_only(pts, lws)
 
 
 def _atom_terms(P1, q_end, tilt):
@@ -91,15 +99,25 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
     with X_{l-1} = zeta_l^{-1} log E exp(zeta_l X_l) and a plain average
     at the root.  Returns (X_0 per outermost node, shape (G_0,), M).
 
+    The innermost kernel is coordinate-major.  Each level's field
+    contribution roots[l] @ node_sets[l].T has shape (D, G_l); for a
+    chunk of c root nodes they are broadcast-added, level 0 first, into
+    the field h of shape (D, c, G_1, ..., G_K).  One tensordot with the
+    atoms gives the atom rows a = sqrt(2) atoms . h + const of shape
+    (A, c, G_1, ..., G_K), and the log-sum-exp over atoms reduces that
+    leading axis: elementwise max, shift, exp and sum over A contiguous
+    rows, with no short inner axis.
+
     M is None unless moments is set, and then has shape (G_0, K+1, D, D):
     M[g, k] sums r mu_k mu_k^T over the level-k descendants of root node
-    g, where mu_K is the atom Gibbs mean at an innermost node,
+    g, where mu_K is the atom Gibbs mean at an innermost node (the Gibbs
+    weights are the shifted exponentials of a divided by their sum),
     mu_{l-1} = sum r_l mu_l over the children, and r is the product of
     the collapse weights r_l = w exp(zeta_l (X_l - X_{l-1})) on the way
     down (each r_l sums to 1 over its siblings).
     """
     K = len(node_sets) - 1
-    contrib = [node_sets[l] @ roots[l].T for l in range(K + 1)]
+    contrib = [roots[l] @ node_sets[l].T for l in range(K + 1)]
     inner_sizes = tuple(len(node_sets[l]) for l in range(1, K + 1))
     inner_total = int(np.prod(inner_sizes)) if K else 1
     g0 = len(node_sets[0])
@@ -107,19 +125,26 @@ def _recursion(node_sets, logw_sets, zetas, roots, const, atoms_t, threads,
     starts = list(range(0, g0, chunk))
     atoms = atoms_t.T / np.sqrt(2.0)
     D = atoms.shape[1]
+    const = const.reshape((-1,) + (1,) * (K + 1))
 
     def one_chunk(s0):
         idx = slice(s0, min(s0 + chunk, g0))
         c = idx.stop - idx.start
-        arr = contrib[0][idx].reshape((c,) + (1,) * K + (-1,))
+        h = contrib[0][:, idx].reshape((D, c) + (1,) * K)
         for l in range(1, K + 1):
-            shape = (1,) * l + (inner_sizes[l - 1],) + (1,) * (K - l) + (-1,)
-            arr = arr + contrib[l].reshape(shape)
-        a = arr.reshape(-1, arr.shape[-1]) @ atoms_t + const
-        x = logsumexp(a, axis=1).reshape((c,) + inner_sizes)
+            shape = (D,) + (1,) * l + (inner_sizes[l - 1],) + (1,) * (K - l)
+            h = h + contrib[l].reshape(shape)
+        a = np.tensordot(atoms_t, h, axes=(0, 0))
+        a += const
+        top = a.max(axis=0)
+        a -= top
+        np.exp(a, out=a)
+        s = a.sum(axis=0)
+        x = np.log(s)
+        x += top
         if moments:
-            gibbs = np.exp(a - x.reshape(-1, 1))
-            mus = [None] * K + [(gibbs @ atoms).reshape(x.shape + (D,))]
+            a /= s
+            mus = [None] * K + [np.tensordot(a, atoms, axes=(0, 0))]
             rs = [None] * (K + 1)
         for l in range(K, 0, -1):
             t = logw_sets[l] + zetas[l] * x

@@ -21,7 +21,8 @@ from .errors import NonConvergence, NotIncreasing, ValidationError
 from .model import grad_lipschitz_upper_bound, sym_basis, xi_star
 from .onebody import QuadratureSpec, _psi_pass
 from .paths import PiecewisePath
-from .util import _Ascent, chunked_thread_map, clip_increments, node_rng
+from .util import (_Ascent, check_times, chunked_thread_map, clip_increments,
+                   node_rng)
 
 __all__ = [
     "VariationalResult", "parisi_sup", "hopf_lax_value", "classic_parisi",
@@ -122,6 +123,7 @@ def parisi_sup(model, P1, t, q, partition=None, opts=None, quad=None,
     starts (plus opts.initial_p when given), the best value wins, ties
     broken by start index.
     """
+    check_times(t)
     opts = opts or SolverOptions()
     quad = quad or QuadratureSpec()
     _warn_if_nonconvex(model, "parisi_sup")
@@ -159,6 +161,7 @@ def hopf_lax_value(model, P1, t, q, opts=None, quad=None, threads=None,
     analytic bound on |grad xi| over the unit ball) since any maximizer
     has the form t grad-xi(p) with |p| <= 1.
     """
+    check_times(t)
     if t <= 0:
         raise ValidationError("hopf_lax_value requires t > 0")
     opts = opts or SolverOptions()

@@ -137,6 +137,8 @@ def test_crit_solve_rejects_a_negative_refine(files, capsys):
     ["finiteN", "check", "--n", "2", "--samples", "20", "--t", "nan"],
     ["crit", "solve", "--t", "nan"],
     ["crit", "sweep", "--t-grid", "0.01,nan"],
+    ["parisi", "sup", "--t", "nan"],
+    ["parisi", "hopflax", "--t", "inf"],
 ])
 def test_non_finite_or_negative_times_are_validation_errors(files, capsys,
                                                             command):
@@ -145,6 +147,8 @@ def test_non_finite_or_negative_times_are_validation_errors(files, capsys,
     assert code == 1
     assert out == ""
     assert "must be finite and nonnegative" in err
+    name = "t_hat" if "--that" in command else "t"
+    assert f"error: {name} must be" in err
 
 
 def test_crit_sweep_csv(files, capsys):

@@ -96,6 +96,24 @@ def test_hat_functional_identity():
     assert hat - base == pytest.approx(0.07 * sq_int, abs=1e-13)
 
 
+@pytest.mark.parametrize("t, t_hat", [(np.nan, 0.0), (np.inf, 0.0),
+                                      (-0.1, 0.0), (0.2, np.nan),
+                                      (0.2, np.inf)])
+def test_functionals_check_their_times(t, t_hat):
+    # an error, not a nan or inf value
+    model = sk(0.8)
+    q = scalar_path([0.0], [0.1])
+    q_prime = scalar_path([0.0, 0.5], [0.15, 0.3])
+    p = scalar_path([0.0, 0.5], [0.2, 0.4])
+    with pytest.raises(ValidationError, match="must be finite"):
+        hat_functional(model, P1, t, t_hat, q, q_prime, p, QUAD)
+    if t_hat == 0.0:
+        with pytest.raises(ValidationError, match="t must be finite"):
+            hj_functional(model, P1, t, q, q_prime, p, QUAD)
+        with pytest.raises(ValidationError, match="t must be finite"):
+            parisi_functional(model, P1, t, q, p, QUAD)
+
+
 def test_q_prime_map_absorbs_tiny_dips_only():
     # with t_hat = 0.5 the map is q' = q + p, so p dips reach q' directly
     model = sk(1.0)

@@ -272,3 +272,143 @@ def test_gaussian_cascade_logfree_validation():
         gaussian_cascade_logfree((0.0, 0.6, 0.4, 1.0), (1.0, 2.0, 3.0))
     with pytest.raises(ValidationError):
         gaussian_cascade_logfree((0.0, 0.5, 1.0), (1.0,))
+
+
+def pinned_instances():
+    """Recursion instances whose psi_eval and psi_grad values are pinned
+    below: D = 1 at depths 0-3 (one with three atoms), D = 2 at depths
+    0-2 on non-diagonal paths, PSD tilts, and the budget fallback that
+    gate 10 runs (D = 2, K = 2, 32 nodes, 200 samples, seed 5)."""
+    p1, p2 = ising_measure(1), ising_measure(2)
+    three = ReferenceMeasure(np.array([[-1.0], [0.0], [1.0]]),
+                             np.array([0.25, 0.35, 0.4]))
+    q1 = scalar_path([0.0, 0.5], [0.1, 0.3])
+    q2 = scalar_path([0.0, 0.3, 0.7], [0.05, 0.2, 0.45])
+    q3 = scalar_path([0.0, 0.2, 0.5, 0.8], [0.05, 0.15, 0.3, 0.5])
+    m0 = path_new([0.0], [np.array([[0.3, 0.1], [0.1, 0.2]])])
+    m1 = path_new([0.0, 0.4],
+                  [np.array([[0.20, 0.08], [0.08, 0.15]]),
+                   np.array([[0.50, 0.15], [0.15, 0.45]])])
+    m2 = path_new([0.0, 0.3, 0.6],
+                  [np.array([[0.1, 0.0], [0.0, 0.08]]),
+                   np.array([[0.25, 0.05], [0.05, 0.3]]),
+                   np.array([[0.4, 0.05], [0.05, 0.45]])])
+    tilt2 = np.array([[0.3, 0.1], [0.1, 0.2]])
+    n = QuadratureSpec
+    return {
+        "D1K0": (p1, scalar_path([0.0], [0.5]), n(24), None),
+        "D1K1": (p1, q1, n(32), None),
+        "D1K1_tilt": (p1, q1, n(32), np.array([[0.2]])),
+        "D1K2": (p1, q2, n(24), None),
+        "D1K2_three": (three, q2, n(16), None),
+        "D1K3": (p1, q3, n(16), None),
+        "D2K0": (p2, m0, n(16), None),
+        "D2K1": (p2, m1, n(12), None),
+        "D2K1_tilt": (p2, m1, n(12), tilt2),
+        "D2K2": (p2, m2, n(12), None),
+        "D2K2_mc": (p2, m2, n(32, {"samples": 200, "seed": 5}), None),
+    }
+
+
+# (psi_eval value, psi_grad blocks) of each pinned instance, computed by
+# the row-major (nodes, atoms) kernel that preceded the coordinate-major
+# one; repr round-trips, so the values are exact.
+PINNED = {
+    "D1K0": (0.12543245221642163, [
+        [[0.3943185181895593]],
+    ]),
+    "D1K1": (0.03341942319313077, [
+        [[0.11938336703143584]],
+        [[0.34102851577866233]],
+    ]),
+    "D1K1_tilt": (-0.16658057680686944, [
+        [[0.11938336703143582]],
+        [[0.34102851577866233]],
+    ]),
+    "D1K2": (0.047994328662088026, [
+        [[0.0573911684720534]],
+        [[0.22347302999093274]],
+        [[0.45488729349489015]],
+    ]),
+    "D1K2_three": (0.025445002048151394, [
+        [[0.04057216380019327]],
+        [[0.11583640048033421]],
+        [[0.22152694719606233]],
+    ]),
+    "D1K3": (0.05150359294821058, [
+        [[0.055662450274649916]],
+        [[0.16572632114465904]],
+        [[0.31950965164610146]],
+        [[0.4890544240657608]],
+    ]),
+    "D2K0": (0.026822502073109822, [
+        [[0.09504216173996417, 0.020524458798608508],
+         [0.020524458798608508, 0.06959842278930373]],
+    ]),
+    "D2K1": (0.05363872876068275, [
+        [[0.05723982958811386, 0.014796272590096641],
+         [0.014796272590096641, 0.04431265584978637]],
+        [[0.1433487567273225, 0.016557883303968252],
+         [0.016557883303968252, 0.13407641684783214]],
+    ]),
+    "D2K1_tilt": (-0.19664691611814716, [
+        [[0.05979939709196655, 0.02287958811513689],
+         [0.02287958811513689, 0.04701605778480404]],
+        [[0.1468820868651361, 0.03788728805508183],
+         [0.03788728805508183, 0.1377149254500808]],
+    ]),
+    "D2K2": (0.03620669939483147, [
+        [[0.03412029275511485, -0.0017336029559022153],
+         [-0.0017336029559022153, 0.026508322125063773]],
+        [[0.0834253860240628, 0.010208833700067832],
+         [0.010208833700067832, 0.09626579518637916]],
+        [[0.13085109715529508, 0.0067141635196575926],
+         [0.0067141635196575926, 0.14161732516672054]],
+    ]),
+    "D2K2_mc": (0.05297241761656883, [
+        [[0.03009924247677087, -0.0027445942879572244],
+         [-0.0027445942879572244, 0.03066588144926068]],
+        [[0.08405855539026982, 0.0069629062087052844],
+         [0.0069629062087052844, 0.09708878525585606]],
+        [[0.12471281414125067, 0.0035249932863120606],
+         [0.0035249932863120606, 0.1398938898334479]],
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_recursion_values_are_pinned(name):
+    p, q, quad, tilt = pinned_instances()[name]
+    value, blocks = PINNED[name]
+    got = psi_eval(p, q, quad, tilt=tilt).value
+    assert got.hex() == value.hex()
+    g = psi_grad(p, q, quad, tilt=tilt)
+    np.testing.assert_allclose(g.values, blocks, rtol=0, atol=1e-13)
+
+
+def test_recursion_is_chunk_and_thread_invariant(monkeypatch):
+    # 144 root nodes over 144^2 inner nodes: three chunks of the kernel
+    from hjparisi import onebody
+    chunks, thread_map = [], onebody.chunked_thread_map
+
+    def counted(fn, items, threads=1):
+        chunks.append(len(items))
+        return thread_map(fn, items, threads)
+
+    monkeypatch.setattr(onebody, "chunked_thread_map", counted)
+    p, q, quad, _ = pinned_instances()["D2K2"]
+    evals, grads = [], []
+    for threads in (1, 2, 3):
+        evals.append(psi_eval(p, q, quad, threads=threads).value)
+        grads.append(np.array(psi_grad(p, q, quad, threads=threads).values))
+    assert chunks == [3] * 6
+    assert evals[1] == evals[0] and evals[2] == evals[0]
+    for g in grads[1:]:
+        assert g.tobytes() == grads[0].tobytes()
+
+
+def test_quadrature_cache_is_read_only():
+    from hjparisi.onebody import _gh_nodes, _gh_nodes_1d
+    for arr in (*_gh_nodes_1d(12), *_gh_nodes(12, 2)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -58,6 +58,15 @@ def test_hopf_lax_requires_positive_t():
         hopf_lax_value(sk(1.0), P1, t=0.0, q=Q0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -0.1])
+def test_variational_routes_check_the_time_first(t):
+    # the time is named before any recursion pass, not reported as an
+    # infeasible start
+    for route in (parisi_sup, hopf_lax_value):
+        with pytest.raises(ValidationError, match="t must be finite"):
+            route(sk(1.0), P1, t=t, q=Q0, quad=QUAD)
+
+
 def test_sup_dominates_feasible_values():
     model = sk(1.0)
     res = parisi_sup(model, P1, t=0.5, q=Q0, partition=(0.5,), quad=QUAD)
