@@ -189,7 +189,8 @@ def _cp_dict(c):
     return {"p": path_to_json_dict(c.p), "q_prime": path_to_json_dict(c.q_prime),
             "j_value": c.j_value, "residual_l2": c.residual_l2,
             "iterations": c.iterations, "converged": c.converged,
-            "t": c.t, "t_hat": c.t_hat}
+            "t": c.t, "t_hat": c.t_hat,
+            "residual_history": list(c.residual_history)}
 
 
 @crit.command("solve")

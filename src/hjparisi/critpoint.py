@@ -3,15 +3,20 @@ fixed-point solver.
 
 The functional J(q', p) = psi(q') + <p, q - q'> + t * int xi(p) is
 stationary exactly at pairs satisfying q' = q + t grad-xi(p) (+ 2 t-hat p
-in the perturbed setting) and p = grad-psi(q'); the solver runs a damped
-fixed-point iteration on p, with grad-psi the exact Gibbs-moment gradient
-of onebody.psi_grad, and certifies the returned point by re-evaluating
-the residual with that gradient on the same quadrature.
+in the perturbed setting) and p = grad-psi(q'), with grad-psi the exact
+Gibbs-moment gradient of onebody.psi_grad.  The solver iterates on p with
+Anderson mixing over its last few steps (Walker & Ni 2011); the damped
+step p + w (grad-psi(q'(p)) - p), w = SolverOptions.damping, is both the
+mixing weight and the fallback whenever the extrapolated p would make q'
+non-increasing.  The returned point is certified by the residual of its
+last evaluation, on the same quadrature.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,8 +120,14 @@ class SolverOptions:
     def __post_init__(self):
         if not (0.0 < self.damping <= 1.0):
             raise ValidationError("damping must lie in (0, 1]")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValidationError("tol must be positive, max_iters >= 1")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValidationError(
+                f"tol must be finite and positive, got {self.tol}")
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValidationError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +140,11 @@ class CriticalPoint:
     converged: bool
     t: float
     t_hat: float
+    residual_history: tuple = ()
 
+
+# Anderson mixing uses the differences of the last this many steps.
+_ANDERSON_DEPTH = 3
 
 # Roundoff in p or in grad-xi can leave an increment of q' a little below
 # the path's PSD tolerance; the forward clip absorbs dips down to this size.
@@ -158,15 +173,39 @@ def _q_prime_of(model, t, t_hat, q, p):
     return _as_increasing(q.zetas, vals, _DIP_TOL)
 
 
+def _anderson_step(x, f, dxs, dfs, w, lens):
+    """x + w f - (dX + w dF) gamma, gamma fitting f by the columns of dF
+    in least squares under the block-length-weighted L2 norm."""
+    step = x + w * f
+    if not dxs:
+        return step
+    scale = np.sqrt(lens)[:, None, None]
+    dF = np.stack([(df * scale).ravel() for df in dfs], axis=1)
+    gamma = np.linalg.lstsq(dF, (f * scale).ravel(), rcond=None)[0]
+    for g, dx, df in zip(gamma, dxs, dfs):
+        step = step - g * (dx + w * df)
+    return step
+
+
 def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
                    threads=None) -> CriticalPoint:
-    """Damped iteration p <- (1-w) p + w grad-psi(q + t grad-xi(p) + 2 t-hat p).
+    """Anderson-accelerated fixed-point iteration for p = grad-psi(q'(p)),
+    q'(p) = q + t grad-xi(p) + 2 t-hat p.
 
     grad-psi is onebody.psi_grad, the exact block gradient E^w[mu mu^T].
-    The residual reported is |p - grad-psi(q'(p))|_{L2} evaluated at the
-    returned p with the same quadrature, so re-running the certificate
-    reproduces it exactly.  Non-convergence is returned as data
-    (converged=False), never raised.
+    Each iteration costs one psi_grad pass.  With f = grad-psi(q'(p)) - p
+    and w = opts.damping, the step is Anderson mixing (Walker & Ni 2011)
+    over the last _ANDERSON_DEPTH differences of p and f,
+    p + w f - (dP + w dF) gamma, with gamma the least-squares fit of f by
+    dF in the block-length-weighted L2 norm.  When the extrapolated p
+    makes q' non-increasing the damped step p + w f is taken instead and
+    the history is cleared; when that fails too the solve stops.
+
+    The residual reported is |p - grad-psi(q'(p))|_{L2} at the returned p
+    with the same quadrature, so re-running the certificate reproduces it
+    exactly: no step follows the last evaluation.  residual_history holds
+    that residual for every iteration in order.  Non-convergence is
+    returned as data (converged=False), never raised.
     """
     check_times(t, t_hat)
     opts = opts or SolverOptions()
@@ -177,36 +216,51 @@ def solve_critical(model, P1, t, t_hat, q, opts=None, quad=None,
     else:
         p = psi_grad(P1, q, quad, threads=threads)
 
-    residual = np.inf
-    grad = None
-    iters = 0
-    converged = False
-    for iters in range(1, opts.max_iters + 1):
-        try:
-            q_prime = _q_prime_of(model, t, t_hat, q, p)
-        except NotIncreasing:
-            break
-        grad = psi_grad(P1, q_prime, quad, threads=threads)
-        residual = block_norm_l2(_diff_path(grad, p))
-        if residual <= opts.tol:
-            converged = True
-            break
-        new_vals = [(1.0 - opts.damping) * pv + opts.damping * gv
-                    for pv, gv in zip(p.values, grad.values)]
-        p = SignedPiecewisePath(p.zetas, new_vals)
-
+    w = opts.damping
+    lens = p.lengths()
+    history = []
+    dxs, dfs = deque(maxlen=_ANDERSON_DEPTH), deque(maxlen=_ANDERSON_DEPTH)
+    x_prev = f_prev = None
     try:
         q_prime = _q_prime_of(model, t, t_hat, q, p)
+    except NotIncreasing:
+        q_prime = None
+    while q_prime is not None:
+        grad = psi_grad(P1, q_prime, quad, threads=threads)
+        history.append(float(block_norm_l2(_diff_path(grad, p))))
+        if history[-1] <= opts.tol or len(history) == opts.max_iters:
+            break
+        x, f = p.values, grad.values - p.values
+        if x_prev is not None:
+            dxs.append(x - x_prev)
+            dfs.append(f - f_prev)
+        x_prev, f_prev = x, f
+        try:
+            nxt = SignedPiecewisePath(
+                p.zetas, _anderson_step(x, f, dxs, dfs, w, lens))
+            q_next = _q_prime_of(model, t, t_hat, q, nxt)
+        except NotIncreasing:
+            dxs.clear()
+            dfs.clear()
+            nxt = SignedPiecewisePath(p.zetas, x + w * f)
+            try:
+                q_next = _q_prime_of(model, t, t_hat, q, nxt)
+            except NotIncreasing:
+                break
+        p, q_prime = nxt, q_next
+
+    converged = bool(history) and history[-1] <= opts.tol
+    if history:
+        residual = history[-1]
         j_value = hat_functional(model, P1, t, t_hat, q, q_prime, p, quad,
                                  threads=threads)
-    except (NotIncreasing, ValidationError):
-        q_prime = q
-        j_value = float("nan")
-        converged = False
-        residual = float("inf")
-    p_path = _as_increasing(p.zetas, p.values)
-    return CriticalPoint(p_path, q_prime, float(j_value), float(residual),
-                         iters, converged, float(t), float(t_hat))
+    else:  # the start itself gives a non-increasing q'
+        q_prime, residual, j_value = q, float("inf"), float("nan")
+    # p is the evaluated point; a non-increasing one is replaced by its
+    # forward PSD clip, since CriticalPoint.p is an increasing path
+    return CriticalPoint(_as_increasing(p.zetas, p.values), q_prime,
+                         float(j_value), residual, len(history), converged,
+                         float(t), float(t_hat), tuple(history))
 
 
 def t_critical(model) -> float:

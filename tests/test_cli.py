@@ -27,6 +27,7 @@ def files(tmp_path):
         "bip.json": {"D": 2, "terms": [{"family": "bipartite", "beta": 1.0}]},
         "zero.json": {"zetas": [0.0], "values": [[[0.0]]]},
         "q2.json": {"zetas": [0.0, 0.5], "values": [[[0.1]], [[0.3]]]},
+        "diag.json": {"zetas": [0.0], "values": [[[0.3, 0.0], [0.0, 0.02]]]},
     }
     for name, payload in specs.items():
         p = tmp_path / name
@@ -99,6 +100,31 @@ def test_crit_solve_zero_fixed_point(files, capsys):
     assert result["converged"] is True
     assert abs(result["p"]["values"][0][0][0]) < 1e-7
     assert abs(result["j_value"]) < 1e-8
+    history = result["residual_history"]
+    assert len(history) == result["iterations"]
+    assert history[-1] == result["residual_l2"]
+
+
+def test_crit_solve_is_thread_invariant(files, capsys):
+    args = ["crit", "solve", "--model", files["bip.json"], "--path",
+            files["diag.json"], "--t", "0.5", "--nodes", "12"]
+    code1, out1, _ = run_cli(args + ["--threads", "1"], capsys)
+    code2, out2, _ = run_cli(args + ["--threads", "2"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert len(json.loads(out1)["result"]["residual_history"]) > 1
+
+
+@pytest.mark.parametrize("command", [["crit", "solve", "--t", "0.1"],
+                                     ["crit", "sweep", "--t-grid", "0.1"]])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_crit_rejects_a_non_finite_tol(files, capsys, command, tol):
+    argv = command + ["--model", files["sk.json"], "--path",
+                      files["q2.json"], "--tol", tol]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: tol must be finite" in err
 
 
 def test_crit_solve_nonconvergence_exit_code(files, capsys):

@@ -8,6 +8,7 @@ from hjparisi import (
     QuadratureSpec,
     SolverOptions,
     ValidationError,
+    bipartite,
     continuation,
     hat_functional,
     hj_functional,
@@ -25,11 +26,22 @@ from hjparisi.model import xi_grad
 from hjparisi.paths import path_new, signed_path_new
 
 P1 = ising_measure(1)
+P2 = ising_measure(2)
 QUAD = QuadratureSpec(nodes_per_dim=32)
+QUAD16 = QuadratureSpec(nodes_per_dim=16)
 
 
 def scalar_path(zetas, values):
     return path_new(zetas, [[[v]] for v in values])
+
+
+def diag_path(zetas, diagonals):
+    return path_new(zetas, [np.diag(d) for d in diagonals])
+
+
+def certificate(cp, quad):
+    return block_norm_l2(_diff_path(psi_grad(P1 if cp.p.D == 1 else P2,
+                                             cp.q_prime, quad), cp.p))
 
 
 def test_solve_critical_below_threshold_finds_zero():
@@ -143,6 +155,141 @@ def test_solver_validation_and_nonconvergence_as_data():
     assert not cp.converged
     assert cp.iterations == 3
     assert np.isfinite(cp.j_value)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ({"tol": 0.0}, "tol"), ({"max_iters": 2.5}, "max_iters"),
+    ({"max_iters": True}, "max_iters"), ({"max_iters": "3"}, "max_iters"),
+    ({"max_iters": 0}, "max_iters"),
+])
+def test_solver_options_reject_bad_tol_and_max_iters(kwargs, name):
+    with pytest.raises(ValidationError, match=name):
+        SolverOptions(**kwargs)
+
+
+def test_solver_options_accept_numpy_integers():
+    assert SolverOptions(max_iters=np.int64(7)).max_iters == 7
+
+
+@pytest.mark.parametrize("t_hat", [0.0, 0.05])
+@pytest.mark.parametrize("opts", [SolverOptions(),
+                                  SolverOptions(tol=1e-15, max_iters=3)])
+def test_certificate_is_the_residual_at_the_returned_p(opts, t_hat):
+    # no step follows the last evaluation, on a converged exit and on a
+    # max_iters exit alike
+    q = scalar_path([0.0, 0.5], [0.05, 0.15])
+    cp = solve_critical(sk(1.0), P1, 0.1, t_hat, q, opts, QUAD)
+    assert cp.converged == (opts.max_iters > 3)
+    assert certificate(cp, QUAD) == pytest.approx(cp.residual_l2, abs=1e-12)
+    assert len(cp.residual_history) == cp.iterations
+    assert cp.residual_history[-1] == cp.residual_l2
+    assert all(type(r) is float for r in cp.residual_history)
+
+
+# (model, measure, t, t_hat, q, start, quadrature, iteration cap, root p,
+# J).  The roots are the damped solver's before the Anderson step was
+# added, run to tol 1e-14: at the default tol 1e-8 its bipartite(1.5) root
+# still lies 9.4e-8 from the fixed point, since that iteration contracts
+# slowly.
+ANDERSON_CASES = {
+    "sk_t0.2": (sk(1.0), P1, 0.2, 0.0, scalar_path([0.0], [0.0]),
+                scalar_path([0.0], [0.5]), QUAD, 20,
+                [[[4.518226055251122e-14]]], 3.3390580766806826e-18),
+    "sk_t0.5": (sk(1.0), P1, 0.5, 0.0, scalar_path([0.0], [0.0]),
+                scalar_path([0.0], [0.5]), QUAD, 20,
+                [[[0.3089825298248845]]], 0.009961506052454522),
+    "bipartite_A": (bipartite(1.0), P2, 0.5, 0.0,
+                    diag_path([0.0], [(0.3, 0.02)]),
+                    diag_path([0.0], [(0.6, 0.3)]), QUAD16, 20,
+                    [np.diag([0.10211764537975374, 0.03129458596034308])],
+                    0.017858301319628296),
+    "bipartite_1.5": (bipartite(1.5), P2, 1.0, 0.0,
+                      diag_path([0.0], [(0.0, 0.0)]),
+                      diag_path([0.0], [(0.3, 0.2)]), QUAD16, 30,
+                      [0.029076767968416982 * np.eye(2)],
+                      7.304293945129209e-05),
+    "sk_qa_hat": (sk(1.0), P1, 0.1, 0.05, scalar_path([0.0, 0.5],
+                                                      [0.05, 0.15]),
+                  None, QUAD, 20,
+                  [[[0.10500011039324483]], [[0.29440478785069285]]],
+                  0.015236617233705967),
+}
+
+
+@pytest.mark.parametrize("name", list(ANDERSON_CASES))
+def test_anderson_solver_reaches_the_damped_root_in_few_iterations(name):
+    model, p1, t, t_hat, q, start, quad, cap, root, j = ANDERSON_CASES[name]
+    opts = SolverOptions(max_iters=1500, initial_p=start)
+    cp = solve_critical(model, p1, t, t_hat, q, opts, quad, threads=1)
+    assert cp.converged
+    assert cp.iterations <= cap
+    assert block_norm_l2(_diff_path(cp.p, path_new(q.zetas, root))) < 1e-7
+    assert cp.j_value == pytest.approx(j, abs=1e-9)
+
+
+def _reject_q_primes(monkeypatch, calls):
+    """Make _q_prime_of raise NotIncreasing on the given (1-based) calls;
+    returns the list of the p values it was called with."""
+    real = critpoint._q_prime_of
+    seen = []
+
+    def q_prime_of(*args):
+        seen.append(args[-1].values.copy())
+        if len(seen) in calls:
+            raise NotIncreasing("rejected for the test")
+        return real(*args)
+
+    monkeypatch.setattr(critpoint, "_q_prime_of", q_prime_of)
+    return seen, real
+
+
+def test_anderson_falls_back_to_the_damped_step(monkeypatch):
+    # the first extrapolated candidate is the third q' built: the initial
+    # p, the plain first step (no history yet), then the Anderson step
+    model, p1, t, t_hat, q, start, quad, _, root, j = \
+        ANDERSON_CASES["bipartite_A"]
+    seen, real = _reject_q_primes(monkeypatch, {3})
+    opts = SolverOptions(max_iters=1500, initial_p=start)
+    cp = solve_critical(model, p1, t, t_hat, q, opts, quad, threads=1)
+    assert cp.converged
+    # in place of the rejected candidate comes the damped step p + w f
+    x = seen[1]
+    g = psi_grad(p1, real(model, t, t_hat, q, signed_path_new(q.zetas, x)),
+                 quad).values
+    assert not np.allclose(seen[3], seen[2])
+    np.testing.assert_allclose(seen[3], x + 0.5 * (g - x), rtol=0,
+                               atol=1e-15)
+    assert block_norm_l2(_diff_path(cp.p, path_new(q.zetas, root))) < 1e-7
+    assert cp.j_value == pytest.approx(j, abs=1e-9)
+
+
+def test_solver_stops_when_the_damped_step_fails_too(monkeypatch):
+    model, p1, t, t_hat, q, start, quad, _, _, _ = \
+        ANDERSON_CASES["bipartite_A"]
+    seen, _ = _reject_q_primes(monkeypatch, {3, 4})
+    opts = SolverOptions(max_iters=1500, initial_p=start)
+    cp = solve_critical(model, p1, t, t_hat, q, opts, quad, threads=1)
+    assert not cp.converged
+    assert cp.iterations == 2 == len(cp.residual_history)
+    # the last evaluated p is returned with its own certificate
+    np.testing.assert_array_equal(np.asarray(cp.p.values), seen[1])
+    monkeypatch.undo()
+    assert certificate(cp, quad) == pytest.approx(cp.residual_l2, abs=1e-12)
+    assert np.isfinite(cp.j_value)
+
+
+def test_anderson_solver_is_thread_invariant():
+    model, p1, t, t_hat, q, start, quad, _, _, _ = \
+        ANDERSON_CASES["bipartite_A"]
+    opts = SolverOptions(initial_p=start)
+    one, two = (solve_critical(model, p1, t, t_hat, q, opts, quad,
+                               threads=n) for n in (1, 2))
+    np.testing.assert_array_equal(np.asarray(one.p.values),
+                                  np.asarray(two.p.values))
+    assert one.residual_l2 == two.residual_l2
+    assert one.iterations == two.iterations
+    assert one.residual_history == two.residual_history
 
 
 def test_continuation_warm_starts():
