@@ -11,6 +11,7 @@ zeta_0 = 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,11 @@ __all__ = [
     "overlap_level_law", "OverlapLevelLaw", "gg_check", "GGCheckResult",
     "ultrametric_tree", "TreeNode", "tree_overlap_matrix",
 ]
+
+
+def _check_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_zetas(zetas):
@@ -61,6 +67,12 @@ def _grow_log_weights(zetas, n_max, rng, batch=None):
 
     Returns (logw, ratio) with logw of shape (batch, n_max**K) and ratio
     the largest discarded-atom / retained-mass ratio seen at any node.
+
+    Each level draws one (batch, parents, n_max + 1) array of unit
+    exponentials and turns it, in its own buffer, into the atom logs
+    -log(Gamma_j) / zeta (partial sums, log, negation, division).  The
+    node log-sum-exp takes one temporary, freed before the level's leaf
+    logs are built, so a batch peaks near two (batch, n_max**K) arrays.
     """
     K = len(zetas)
     b = 1 if batch is None else batch
@@ -71,13 +83,17 @@ def _grow_log_weights(zetas, n_max, rng, batch=None):
     ratio = 0.0
     for k in range(1, K + 1):
         n_parents = logw.shape[1]
-        e = rng.exponential(size=(b, n_parents, n_max + 1))
-        gam = np.cumsum(e, axis=2)
-        log_u = -np.log(gam) / zetas[k - 1]
+        log_u = rng.standard_exponential(size=(b, n_parents, n_max + 1))
+        np.cumsum(log_u, axis=2, out=log_u)
+        np.log(log_u, out=log_u)
+        np.negative(log_u, out=log_u)
+        log_u /= zetas[k - 1]
         kept = log_u[:, :, :n_max]
         # atoms come out in decreasing order, so the first one is the max
         top = kept[:, :, 0]
-        node_lse = np.log(np.exp(kept - top[:, :, None]).sum(axis=2)) + top
+        shifted = kept - top[:, :, None]
+        node_lse = np.log(np.exp(shifted, out=shifted).sum(axis=2)) + top
+        del shifted
         spill = log_u[:, :, n_max] - node_lse
         ratio = max(ratio, float(np.exp(spill.max())))
         parent_mass = logw + node_lse
@@ -97,6 +113,7 @@ def sample_cascade(zetas, n_max, seed) -> CascadeSample:
     (one extra atom is drawn per node for the truncation diagnostic).
     """
     zetas = _check_zetas(zetas)
+    _check_int("n_max", n_max)
     if len(zetas) and n_max < 2:
         raise ValidationError("n_max must be at least 2")
     if len(zetas) == 0:
@@ -169,11 +186,17 @@ def _pair_levels(leaf_a, leaf_b, n_max, K):
 
 
 def _gumbel_pick(logw, rng, count):
-    """`count` independent categorical draws per row of logw."""
+    """`count` independent categorical draws per row of logw.
+
+    The Gumbel keys logw - log(-log(u)) are formed in the uniforms' own
+    buffer before the argmax."""
     b, L = logw.shape
-    u = rng.random((count, b, L))
-    picks = np.argmax(logw[None, :, :] - np.log(-np.log(u)), axis=2)
-    return picks  # shape (count, b)
+    keys = rng.random((count, b, L))
+    np.log(keys, out=keys)
+    np.negative(keys, out=keys)
+    np.log(keys, out=keys)
+    np.subtract(logw, keys, out=keys)
+    return np.argmax(keys, axis=2)  # shape (count, b)
 
 
 @dataclass(frozen=True)
@@ -196,7 +219,16 @@ def overlap_level_law(cascade, draws, seed,
     resample_cascades=False all pairs come from the one passed-in sample;
     that conditional law is itself random and does not match the ensemble
     values.
+
+    A leaf is picked by inverse CDF: the first leaf whose cumulative
+    weight reaches a uniform u, found by searchsorted on that cascade's
+    row.  The last cumulative weight is pinned to 1.  Since u < 1, the
+    test cum >= u stays monotone along the row even where rounding puts
+    an earlier partial sum above 1, so the binary search finds that first
+    leaf.  Fresh cascades are exponentiated and summed in the growth's
+    own (batch, leaves) buffer.
     """
+    _check_int("draws", draws)
     if draws < 1:
         raise ValidationError("draws must be >= 1")
     K, n_max = cascade.K, cascade.n_max
@@ -205,18 +237,24 @@ def overlap_level_law(cascade, draws, seed,
     ratio = cascade.truncation_ratio
     L = max(cascade.n_leaves, 1)
     batch = max(1, min(draws, int(8e6) // L))
+    resample = resample_cascades and K > 0
+    if not resample:
+        cum = np.cumsum(np.exp(cascade.log_leaf_weights))
+        cum[-1] = 1.0
     done = 0
     while done < draws:
         b = min(batch, draws - done)
-        if resample_cascades and K > 0:
+        if resample:
             logw, r = _grow_log_weights(cascade.zetas, n_max, rng, batch=b)
             ratio = max(ratio, r)
+            cum = np.cumsum(np.exp(logw, out=logw), axis=1, out=logw)
+            cum[:, -1] = 1.0
+            u = rng.random((2, b, 1))[:, :, 0]
+            picks = np.empty((2, b), dtype=np.intp)
+            for i in range(b):
+                picks[:, i] = np.searchsorted(cum[i], u[:, i])
         else:
-            logw = np.broadcast_to(cascade.log_leaf_weights, (b, L))
-        cum = np.cumsum(np.exp(logw), axis=1)
-        cum[:, -1] = 1.0
-        u = rng.random((2, b, 1))
-        picks = np.argmax(u <= cum[None, :, :], axis=2)
+            picks = np.searchsorted(cum, rng.random((2, b, 1))[:, :, 0])
         lv = _pair_levels(picks[0], picks[1], n_max, K)
         counts += np.bincount(lv, minlength=K + 1)
         done += b
@@ -246,8 +284,13 @@ def gg_check(cascade, f, n, draws, seed) -> GGCheckResult:
     conditional mean of R^{1,n+1} given replica 1 are computed exactly
     from level masses; f-moments use sampled replica tuples.  The stderr
     comes from 20 batch means; truncation_bias is the worst discarded
-    atom ratio seen, reported as an additive allowance.
+    atom ratio seen, reported as an additive allowance.  The result's
+    draws is the number of replica tuples actually sampled, 20 groups of
+    max(1, max(20, draws // 8) // 20) cascades with 8 tuples each, which
+    can differ from the requested draws.
     """
+    _check_int("n", n)
+    _check_int("draws", draws)
     if n < 2:
         raise ValidationError("n must be >= 2")
     if draws < 20:
@@ -307,7 +350,7 @@ def gg_check(cascade, f, n, draws, seed) -> GGCheckResult:
     return GGCheckResult(float(abs(deltas.mean())),
                          float(deltas.std(ddof=1) / np.sqrt(groups)),
                          float(max(ratio, cascade.truncation_ratio)),
-                         int(n), int(draws))
+                         int(n), groups * per_group * tuples)
 
 
 @dataclass(frozen=True)

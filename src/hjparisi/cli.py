@@ -354,7 +354,7 @@ def cascade_diag(zetas, nmax, draws, gg_draws, gg_n, gg_functions, seed, out):
         r = casc.gg_check(sample, _GG_FUNCTIONS[name], gg_n, gg_draws,
                           seed + 2)
         gg[name] = {"residual": r.residual, "stderr": r.stderr,
-                    "truncation_bias": r.truncation_bias}
+                    "truncation_bias": r.truncation_bias, "draws": r.draws}
     config = {"zetas": zetas, "nmax": nmax, "draws": draws,
               "gg_draws": gg_draws, "gg_n": gg_n,
               "gg_functions": gg_functions, "seed": seed}

@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,20 @@ def eigen_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture()
+def alloc_peak():
+    """measure(fn, *args, **kwargs) -> (fn's result, peak bytes allocated
+    above the starting level while fn ran), traced with tracemalloc, which
+    also sees numpy's array buffers."""
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            out = fn(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return out, peak - start
+    return measure

@@ -1,14 +1,18 @@
 """Truncated cascades, their overlap laws, fields, and tree reconstruction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from hjparisi import (
     NotUltrametric,
     PartitionMismatch,
+    ReferenceMeasure,
     ValidationError,
     gg_check,
     overlap_level_law,
+    psi_mc,
     sample_cascade,
     sample_field,
     tree_overlap_matrix,
@@ -179,3 +183,127 @@ def test_sampled_overlap_matrix_is_ultrametric():
     np.fill_diagonal(ov, 1.0)
     tree = ultrametric_tree(ov)
     np.testing.assert_allclose(tree_overlap_matrix(tree, n=6), ov)
+
+
+def test_sizes_must_be_integers():
+    c = sample_cascade([0.5], n_max=4, seed=0)
+
+    def one(r):
+        return 1.0
+
+    cases = [
+        ("n_max", lambda: sample_cascade([0.3], 2.5, 3)),
+        ("n_max", lambda: sample_cascade([], True, 3)),
+        ("draws", lambda: overlap_level_law(c, 10.5, 3)),
+        ("draws", lambda: overlap_level_law(c, True, 3)),
+        ("n", lambda: gg_check(c, one, 3.0, 100, 0)),
+        ("n", lambda: gg_check(c, one, True, 100, 0)),
+        ("draws", lambda: gg_check(c, one, 3, 100.0, 0)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            call()
+    # numpy integers are integers
+    assert sample_cascade([0.3], np.int64(4), 3).n_leaves == 4
+    assert overlap_level_law(c, np.int32(10), 3).draws == 10
+    assert gg_check(c, one, np.int64(2), np.int64(20), 0).n == 2
+
+
+@pytest.mark.parametrize("requested, sampled", [
+    (20, 160), (400, 320), (2000, 1920), (4000, 4000)])
+def test_gg_check_reports_the_tuples_it_sampled(requested, sampled):
+    # 20 groups of max(1, max(20, draws // 8) // 20) cascades, 8 tuples each
+    c = sample_cascade([0.5], n_max=3, seed=0)
+    res = gg_check(c, lambda r: 1.0, n=2, draws=requested, seed=1)
+    assert res.draws == sampled
+
+
+def test_level_law_batch_peaks_near_two_leaf_arrays(alloc_peak):
+    # one batch of 1000 fresh K=2 cascades; the growth's last level and
+    # its output are the two (batch, leaves) arrays a batch must hold
+    c = sample_cascade([0.2, 0.4], n_max=32, seed=3)
+    law, peak = alloc_peak(overlap_level_law, c, 1000, 5)
+    assert law.draws == 1000
+    assert peak <= 2.5 * 1000 * c.n_leaves * 8
+
+
+# Sampler outputs as exact bytes, taken at commit f4bacbc, before the
+# growth, level-law and Gumbel-pick kernels moved into their own buffers.
+# Log weights are pinned by a digest of their bytes, floats by float.hex.
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+PINNED_CASCADES = {   # name: (zetas, n_max, seed), (log weights, ratio)
+    "K1": (((0.4,), 16, 9), ("dc43630143720831", "0x1.5971d13776368p-17")),
+    "K2": (((0.3, 0.6), 8, 1), ("cd16855fa3412b7e", "0x1.cf39afb92a225p-6")),
+}
+
+PINNED_LAWS = {   # name: (cascade, draws, seed, resample), (freqs..., ratio)
+    "K1": ((((0.4,), 16, 9), 3000, 5, True), (
+        "0x1.a37fa89e60f05p-2", "0x1.2e402bb0cf87ep-1",
+        "0x1.670767b8470fbp-6")),
+    "K2": ((((0.3, 0.6), 8, 1), 3000, 6, True), (
+        "0x1.0aec33e1f6715p-2", "0x1.21735ee402bb1p-2",
+        "0x1.d3a06d3a06d3ap-2", "0x1.7d6f393662524p-4")),
+    # 4096 leaves cap a batch at 1953 draws, so this one takes two
+    "K2_two_batches": ((((0.2, 0.4), 64, 3), 2000, 5, True), (
+        "0x1.8b4395810624ep-3", "0x1.a9fbe76c8b439p-3",
+        "0x1.32b020c49ba5ep-1", "0x1.60f16d39c7115p-10")),
+    "K2_conditional": ((((0.3, 0.6), 8, 1), 3000, 7, False), (
+        "0x1.3e1f671529a48p-4", "0x1.3333333333333p-3",
+        "0x1.8b6f46508dfeap-1", "0x1.cf39afb92a225p-6")),
+}
+
+PINNED_PSI_MC = {   # (value, error estimate, truncation ratio)
+    "D1": ("0x1.2fc3d6971223cp-4", "0x1.5b065c6006e32p-6",
+           "0x1.2b08a0cab5e2fp-3"),
+    "D2": ("0x1.ef691e35ec6c9p-7", "0x1.71d1f6b3d67aap-7",
+           "0x1.398478ee98769p-3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASCADES))
+def test_sample_cascade_is_pinned(name):
+    args, expected = PINNED_CASCADES[name]
+    c = sample_cascade(*args)
+    assert (_digest(c.log_leaf_weights), c.truncation_ratio.hex()) == expected
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LAWS))
+def test_overlap_level_law_is_pinned(name):
+    (casc, draws, seed, resample), expected = PINNED_LAWS[name]
+    law = overlap_level_law(sample_cascade(*casc), draws, seed,
+                            resample_cascades=resample)
+    got = tuple(f.hex() for f in law.freqs) + (law.truncation_ratio.hex(),)
+    assert got == expected
+
+
+def test_gg_check_is_pinned():
+    c = sample_cascade([0.25, 0.5], n_max=12, seed=7)
+    res = gg_check(c, lambda r: r[0, 1] ** 2, n=3, draws=200, seed=11)
+    assert (res.residual.hex(), res.stderr.hex(),
+            res.truncation_bias.hex()) == (
+        "0x1.aae79349bdf2dp-9", "0x1.092aadded02c4p-10",
+        "0x1.20868e7e176afp-5")
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_psi_mc_on_grown_cascades_is_pinned(D):
+    # K=2; 300 samples span two 256-sample chunks, so threads=2 splits them
+    if D == 1:
+        p1 = ReferenceMeasure([[1.0], [-1.0]], [0.5, 0.5])
+        q = path_new([0.0, 0.3, 0.6], [[[0.1]], [[0.3]], [[0.5]]])
+    else:
+        p1 = ReferenceMeasure([[0.6, 0.2], [-0.3, 0.7], [0.1, -0.9]],
+                              [0.5, 0.3, 0.2])
+        q = path_new([0.0, 0.3, 0.7],
+                     [np.array([[0.08, 0.02], [0.02, 0.05]]),
+                      np.array([[0.20, 0.04], [0.04, 0.15]]),
+                      np.array([[0.35, 0.10], [0.10, 0.30]])])
+    for threads in (1, 2):
+        r = psi_mc(p1, q, n_max=5, samples=300, seed=3, threads=threads)
+        got = (r.value.hex(), r.error_estimate.hex(),
+               r.truncation_ratio.hex())
+        assert got == PINNED_PSI_MC[f"D{D}"]

@@ -255,9 +255,13 @@ def test_cascade_diag(files, capsys):
                             "--gg-draws", "400", "--gg-functions",
                             "one,r12sq"], capsys)
     assert code == 0
-    res = json.loads(out)["result"]
+    payload = json.loads(out)
+    res = payload["result"]
     assert sum(res["level_freqs"]) == pytest.approx(1.0)
     assert set(res["gg"]) == {"one", "r12sq"}
+    # 400 requested draws sample 20 groups of 2 cascades with 8 tuples each
+    assert payload["config"]["gg_draws"] == 400
+    assert all(entry["draws"] == 320 for entry in res["gg"].values())
 
     code, _, err = run_cli(["cascade", "diag", "--zetas", "0.5",
                             "--gg-functions", "nope"], capsys)
