@@ -1,10 +1,11 @@
 """Command-line surface.
 
-Every command resolves its full configuration (including seeds) into the
-output payload so runs can be reproduced from the artifact alone; JSON
-payloads carry a schema_version field, CSV sweeps carry it in a leading
-comment line.  Exit codes: 0 success, 1 validation error, 2 numerical
-non-convergence, 64 usage error.
+Every payload's `config` is the options click parsed for the command,
+defaults included, except --threads and --out, so runs can be reproduced
+from the artifact alone; JSON payloads carry a schema_version field, CSV
+sweeps carry it in a leading comment line.  Seeds are non-negative and
+--mc-samples is at least 8.  Exit codes: 0 success, 1 validation error,
+2 numerical non-convergence, 64 usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import model as mdl
 from . import onebody as ob
 from . import variational as var
 from .errors import NonConvergence, ValidationError
-from .paths import PiecewisePath, path_from_json_dict, path_to_json_dict
+from .paths import _on_partition, path_from_json_dict, path_to_json_dict
 
 SCHEMA_VERSION = 1
 
@@ -61,22 +62,26 @@ def _write(text, out):
     click.echo(text)
 
 
-def _emit(payload, out):
+def _config():
+    """The running command's parsed options but --threads and --out."""
+    return {name: value for name, value
+            in click.get_current_context().params.items()
+            if name not in ("threads", "out")}
+
+
+def _emit(result, out, **sections):
+    payload = {"schema_version": SCHEMA_VERSION, "config": _config(),
+               "result": result, **sections}
     _write(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
-def _emit_csv(config, header, rows, out):
+def _emit_csv(header, rows, out):
     _write("\n".join(["# hjparisi-csv schema_version=%d config=%s"
-                      % (SCHEMA_VERSION, json.dumps(config, sort_keys=True)),
+                      % (SCHEMA_VERSION, json.dumps(_config(), sort_keys=True)),
                       header] + rows), out)
 
 
-def _payload(config, result):
-    return {"schema_version": SCHEMA_VERSION, "config": config,
-            "result": result}
-
-
-def _quad(nodes, mc_samples, mc_seed):
+def _quad(nodes, mc_samples=None, mc_seed=0):
     fallback = None
     if mc_samples is not None:
         fallback = {"samples": mc_samples, "seed": mc_seed}
@@ -94,6 +99,25 @@ def _float_list(ctx, param, value):
             f"{value!r} is not a comma-separated list of numbers") from None
 
 
+def _options(*opts):
+    """Decorator: the click options, in the order given."""
+    def apply(f):
+        for opt in reversed(opts):
+            f = opt(f)
+        return f
+    return apply
+
+
+def _seed_option(flag="--seed"):
+    return click.option(flag, type=click.IntRange(min=0), default=0)
+
+
+model_option = click.option("--model", required=True)
+path_option = click.option("--path", required=True)
+out_option = click.option("--out", default=None)
+t_option = click.option("--t", type=float, required=True)
+that_option = click.option("--that", type=float, default=0.0)
+nmax_option = click.option("--nmax", type=int, default=64)
 threads_option = click.option("--threads", type=int, default=None,
                               help="worker cap (default: HJPARISI_THREADS "
                                    "or 1); results do not depend on it")
@@ -116,12 +140,10 @@ def model():
 
 
 @model.command("check")
-@click.option("--model", "model_path", required=True)
-@click.option("--samples", type=int, default=200)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", default=None)
-def model_check(model_path, samples, seed, out):
-    m, p1 = _load_model(model_path)
+@_options(model_option, click.option("--samples", type=int, default=200),
+          _seed_option(), out_option)
+def model_check(model, samples, seed, out):
+    m, p1 = _load_model(model)
     probe = mdl.convexity_probe(m, samples=samples, seed=seed)
     lip = mdl.grad_lipschitz_const(m, samples=samples, seed=seed)
     tc = cp.t_critical(m)
@@ -136,8 +158,7 @@ def model_check(model_path, samples, seed, out):
         "grad_lipschitz_upper_bound": mdl.grad_lipschitz_upper_bound(m),
         "t_critical": tc if np.isfinite(tc) else "inf",
     }
-    config = {"model": model_path, "samples": samples, "seed": seed}
-    _emit(_payload(config, result), out)
+    _emit(result, out)
 
 
 @cli.group()
@@ -150,18 +171,14 @@ def _psi_command(name, grad):
     names the method that served it."""
 
     @psi.command(name)
-    @click.option("--model", "model_path", required=True)
-    @click.option("--path", "path_path", required=True)
-    @nodes_option
-    @click.option("--mc-samples", type=int, default=None,
-                  help="enable the budget fallback with this many samples")
-    @click.option("--mc-seed", type=int, default=0)
-    @threads_option
-    @click.option("--out", default=None)
-    def command(model_path, path_path, nodes, mc_samples, mc_seed, threads,
-                out):
-        _, p1 = _load_model(model_path)
-        res, g = ob._psi_pass(p1, _load_path(path_path),
+    @_options(model_option, path_option, nodes_option,
+              click.option("--mc-samples", type=int, default=None,
+                           help="enable the budget fallback with this many "
+                                "samples (at least 8)"),
+              _seed_option("--mc-seed"), threads_option, out_option)
+    def command(model, path, nodes, mc_samples, mc_seed, threads, out):
+        _, p1 = _load_model(model)
+        res, g = ob._psi_pass(p1, _load_path(path),
                               _quad(nodes, mc_samples, mc_seed),
                               threads=threads, grad=grad)
         result = {"method": res.method, "error_estimate": res.error_estimate}
@@ -169,9 +186,7 @@ def _psi_command(name, grad):
             result["gradient"] = path_to_json_dict(g)
         else:
             result["value"] = res.value
-        config = {"model": model_path, "path": path_path, "nodes": nodes,
-                  "mc_samples": mc_samples, "mc_seed": mc_seed}
-        _emit(_payload(config, result), out)
+        _emit(result, out)
 
     return command
 
@@ -193,68 +208,54 @@ def _cp_dict(c):
             "residual_history": list(c.residual_history)}
 
 
+# crit solve and crit sweep: the problem and the solver's options
+_solver_options = _options(
+    model_option, path_option, that_option,
+    click.option("--tol", type=float, default=1e-8),
+    click.option("--damping", type=float, default=0.5),
+    click.option("--max-iters", type=int, default=500))
+
+
 @crit.command("solve")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@click.option("--t", type=float, required=True)
-@click.option("--that", type=float, default=0.0)
-@click.option("--tol", type=float, default=1e-8)
-@click.option("--damping", type=float, default=0.5)
-@click.option("--max-iters", type=int, default=500)
-@click.option("--refine", type=click.IntRange(min=0), default=0,
-              help="split every block of the path evenly this many times")
-@nodes_option
-@threads_option
-@click.option("--out", default=None)
-def crit_solve(model_path, path_path, t, that, tol, damping, max_iters,
-               refine, nodes, threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
+@_solver_options
+@_options(t_option,
+          click.option("--refine", type=click.IntRange(min=0), default=0,
+                       help="split every block of the path evenly this many "
+                            "times"),
+          nodes_option, threads_option, out_option)
+def crit_solve(model, path, that, tol, damping, max_iters, t, refine, nodes,
+               threads, out):
+    m, p1 = _load_model(model)
+    q = _load_path(path)
     for _ in range(refine):
         q = _split_blocks(q)
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
-    res = cp.solve_critical(m, p1, t, that, q, opts, _quad(nodes, None, 0),
+    res = cp.solve_critical(m, p1, t, that, q, opts, _quad(nodes),
                             threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t, "that": that,
-              "tol": tol, "damping": damping, "max_iters": max_iters,
-              "refine": refine, "nodes": nodes}
-    _emit(_payload(config, _cp_dict(res)), out)
+    _emit(_cp_dict(res), out)
     if not res.converged:
         raise NonConvergence(f"solver stalled at residual {res.residual_l2:g}")
 
 
 def _split_blocks(q):
-    zetas, values = [], []
-    ext = list(q.zetas) + [1.0]
-    for k, v in enumerate(q.values):
-        zetas += [ext[k], 0.5 * (ext[k] + ext[k + 1])]
-        values += [v, v]
-    return PiecewisePath(zetas, values)
+    """q on its breakpoints and their midpoints."""
+    ext = np.append(q.zetas, 1.0)
+    return _on_partition(q, np.sort(np.append(q.zetas,
+                                              0.5 * (ext[:-1] + ext[1:]))))
 
 
 @crit.command("sweep")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@click.option("--t-grid", required=True, callback=_float_list,
-              help="comma-separated increasing t values")
-@click.option("--that", type=float, default=0.0)
-@click.option("--tol", type=float, default=1e-8)
-@click.option("--damping", type=float, default=0.5)
-@click.option("--max-iters", type=int, default=500)
-@nodes_option
-@threads_option
-@click.option("--out", default=None)
-def crit_sweep(model_path, path_path, t_grid, that, tol, damping, max_iters,
-               nodes, threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
+@_solver_options
+@_options(click.option("--t-grid", required=True, callback=_float_list,
+                       help="comma-separated increasing t values"),
+          nodes_option, threads_option, out_option)
+def crit_sweep(model, path, that, tol, damping, max_iters, t_grid, nodes,
+               threads, out):
+    m, p1 = _load_model(model)
+    q = _load_path(path)
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
-    points = cp.continuation(m, p1, t_grid, that, q, opts,
-                             _quad(nodes, None, 0),
+    points = cp.continuation(m, p1, t_grid, that, q, opts, _quad(nodes),
                              threads=threads)
-    config = {"model": model_path, "path": path_path, "t_grid": t_grid,
-              "that": that, "tol": tol, "damping": damping,
-              "max_iters": max_iters, "nodes": nodes}
     rows = []
     prev = None
     for c in points:
@@ -265,8 +266,7 @@ def crit_sweep(model_path, path_path, t_grid, that, tol, damping, max_iters,
         rows.append("%r,%r,%r,%d,%s,%s" % (c.t, c.j_value, c.residual_l2,
                                            c.iterations, c.converged, jump))
         prev = c
-    _emit_csv(config,
-              "t,j_value,residual_l2,iterations,converged,jump_from_prev",
+    _emit_csv("t,j_value,residual_l2,iterations,converged,jump_from_prev",
               rows, out)
 
 
@@ -275,56 +275,40 @@ def parisi():
     """Convex-case variational formulas."""
 
 
+# parisi sup and parisi hopflax: the problem
+_variational_options = _options(model_option, path_option, t_option)
+
+
 @parisi.command("sup")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@click.option("--t", type=float, required=True)
-@click.option("--partition", default=None, callback=_float_list,
-              help="comma-separated interior breakpoints for p")
-@opt_nodes_option
-@threads_option
-@click.option("--out", default=None)
-def parisi_sup_cmd(model_path, path_path, t, partition, nodes, threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    res = var.parisi_sup(m, p1, t, q, partition=partition,
-                         quad=_quad(nodes, None, 0),
-                         threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t,
-              "partition": partition, "nodes": nodes}
-    _emit(_payload(config, {
-        "value": res.value, "argmax": path_to_json_dict(res.argmax_path),
-        "optimizer_iters": res.optimizer_iters,
-        "first_order_residual": res.first_order_residual}), out)
+@_variational_options
+@_options(click.option("--partition", default=None, callback=_float_list,
+                       help="comma-separated interior breakpoints for p"),
+          opt_nodes_option, threads_option, out_option)
+def parisi_sup_cmd(model, path, t, partition, nodes, threads, out):
+    m, p1 = _load_model(model)
+    res = var.parisi_sup(m, p1, t, _load_path(path), partition=partition,
+                         quad=_quad(nodes), threads=threads)
+    _emit({"value": res.value, "argmax": path_to_json_dict(res.argmax_path),
+           "optimizer_iters": res.optimizer_iters,
+           "first_order_residual": res.first_order_residual}, out)
 
 
 @parisi.command("hopflax")
-@click.option("--model", "model_path", required=True)
-@click.option("--path", "path_path", required=True)
-@click.option("--t", type=float, required=True)
-@opt_nodes_option
-@threads_option
-@click.option("--out", default=None)
-def parisi_hopflax(model_path, path_path, t, nodes, threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    value = var.hopf_lax_value(m, p1, t, q, quad=_quad(nodes, None, 0),
+@_variational_options
+@_options(opt_nodes_option, threads_option, out_option)
+def parisi_hopflax(model, path, t, nodes, threads, out):
+    m, p1 = _load_model(model)
+    value = var.hopf_lax_value(m, p1, t, _load_path(path), quad=_quad(nodes),
                                threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t, "nodes": nodes}
-    _emit(_payload(config, {"value": value}), out)
+    _emit({"value": value}, out)
 
 
 @parisi.command("std")
-@click.option("--model", "model_path", required=True)
-@opt_nodes_option
-@threads_option
-@click.option("--out", default=None)
-def parisi_std_cmd(model_path, nodes, threads, out):
-    m, p1 = _load_model(model_path)
-    value = var.parisi_std(m, p1, quad=_quad(nodes, None, 0),
-                           threads=threads)
-    config = {"model": model_path, "nodes": nodes}
-    _emit(_payload(config, {"value": value}), out)
+@_options(model_option, opt_nodes_option, threads_option, out_option)
+def parisi_std_cmd(model, nodes, threads, out):
+    m, p1 = _load_model(model)
+    _emit({"value": var.parisi_std(m, p1, quad=_quad(nodes),
+                                   threads=threads)}, out)
 
 
 @cli.group(name="cascade")
@@ -335,14 +319,12 @@ def cascade_group():
 @cascade_group.command("diag")
 @click.option("--zetas", required=True, callback=_float_list,
               help="comma-separated interior levels")
-@click.option("--nmax", type=int, default=64)
-@click.option("--draws", type=int, default=10000)
-@click.option("--gg-draws", type=int, default=2000)
-@click.option("--gg-n", type=int, default=3)
-@click.option("--gg-functions", default="one,r12",
-              help="subset of %s" % ",".join(sorted(_GG_FUNCTIONS)))
-@click.option("--seed", type=int, default=0)
-@click.option("--out", default=None)
+@_options(nmax_option, click.option("--draws", type=int, default=10000),
+          click.option("--gg-draws", type=int, default=2000),
+          click.option("--gg-n", type=int, default=3),
+          click.option("--gg-functions", default="one,r12",
+                       help="subset of %s" % ",".join(sorted(_GG_FUNCTIONS))),
+          _seed_option(), out_option)
 def cascade_diag(zetas, nmax, draws, gg_draws, gg_n, gg_functions, seed, out):
     sample = casc.sample_cascade(zetas, nmax, seed)
     law = casc.overlap_level_law(sample, draws, seed + 1)
@@ -355,15 +337,12 @@ def cascade_diag(zetas, nmax, draws, gg_draws, gg_n, gg_functions, seed, out):
                           seed + 2)
         gg[name] = {"residual": r.residual, "stderr": r.stderr,
                     "truncation_bias": r.truncation_bias, "draws": r.draws}
-    config = {"zetas": zetas, "nmax": nmax, "draws": draws,
-              "gg_draws": gg_draws, "gg_n": gg_n,
-              "gg_functions": gg_functions, "seed": seed}
     result = {"level_freqs": law.freqs.tolist(),
               "level_expected": law.expected.tolist(),
               "level_stderrs": law.stderrs.tolist(),
               "truncation_ratio": law.truncation_ratio,
               "gg": gg}
-    _emit(_payload(config, result), out)
+    _emit(result, out)
 
 
 @cli.group(name="finiteN")
@@ -371,56 +350,35 @@ def finiten_group():
     """Finite-size Monte Carlo oracle."""
 
 
-_common_fn = [
-    click.option("--model", "model_path", required=True),
-    click.option("--path", "path_path", required=True),
-    click.option("--t", type=float, required=True),
-    click.option("--that", type=float, default=0.0),
-    click.option("--n", "n_spins", type=int, required=True),
+_finiten_options = _options(
+    model_option, path_option, t_option, that_option,
+    click.option("--n", "N", type=int, required=True),
     click.option("--samples", type=int, default=1000),
-    click.option("--nmax", type=int, default=64),
-    click.option("--seed", type=int, default=0),
-]
-
-
-def _with_common(f):
-    for opt in reversed(_common_fn):
-        f = opt(f)
-    return f
+    nmax_option, _seed_option())
 
 
 @finiten_group.command("fe")
-@_with_common
-@threads_option
-@click.option("--out", default=None)
-def finiten_fe(model_path, path_path, t, that, n_spins, samples, nmax, seed,
-               threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    est = fn.free_energy_mc(m, p1, n_spins, t, q, that, samples, nmax, seed,
-                            threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t, "that": that,
-              "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
-    _emit_csv(config, "estimate,stderr,n_samples,truncation_ratio",
+@_finiten_options
+@_options(threads_option, out_option)
+def finiten_fe(model, path, t, that, N, samples, nmax, seed, threads, out):
+    m, p1 = _load_model(model)
+    est = fn.free_energy_mc(m, p1, N, t, _load_path(path), that, samples, nmax,
+                            seed, threads=threads)
+    _emit_csv("estimate,stderr,n_samples,truncation_ratio",
               ["%r,%r,%d,%r" % (est.mean, est.stderr, est.n_samples,
                                 est.truncation_ratio)], out)
 
 
 @finiten_group.command("overlap")
-@_with_common
-@click.option("--histogram/--no-histogram", default=False)
-@threads_option
-@click.option("--out", default=None)
-def finiten_overlap(model_path, path_path, t, that, n_spins, samples, nmax,
-                    seed, histogram, threads, out):
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    law = fn.gibbs_overlap_law(m, p1, n_spins, t, q, that, samples, nmax,
-                               seed, with_histogram=histogram,
+@_finiten_options
+@_options(click.option("--histogram/--no-histogram", default=False),
+          threads_option, out_option)
+def finiten_overlap(model, path, t, that, N, samples, nmax, seed, histogram,
+                    threads, out):
+    m, p1 = _load_model(model)
+    law = fn.gibbs_overlap_law(m, p1, N, t, _load_path(path), that, samples,
+                               nmax, seed, with_histogram=histogram,
                                threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t, "that": that,
-              "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed,
-              "histogram": histogram}
     result = {
         "levels": law.levels.tolist(),
         "level_mass": law.level_mass.tolist(),
@@ -434,32 +392,26 @@ def finiten_overlap(model_path, path_path, t, that, n_spins, samples, nmax,
     if law.scalar_hist is not None:
         result["overlap_values"] = law.scalar_hist[0].tolist()
         result["joint_mass"] = law.scalar_hist[1].tolist()
-    _emit(_payload(config, result), out)
+    _emit(result, out)
 
 
 @finiten_group.command("check")
-@_with_common
-@threads_option
-@click.option("--out", default=None)
-def finiten_check(model_path, path_path, t, that, n_spins, samples, nmax,
-                  seed, threads, out):
+@_finiten_options
+@_options(threads_option, out_option)
+def finiten_check(model, path, t, that, N, samples, nmax, seed, threads, out):
     if that != 0.0:
         raise ValidationError("finiteN check runs at t_hat = 0 only; "
                               "--that must be 0")
-    m, p1 = _load_model(model_path)
-    q = _load_path(path_path)
-    report = fn.identity_checks(m, p1, n_spins, t, q, samples, seed,
+    m, p1 = _load_model(model)
+    report = fn.identity_checks(m, p1, N, t, _load_path(path), samples, seed,
                                 n_max=nmax, threads=threads)
-    config = {"model": model_path, "path": path_path, "t": t, "that": that,
-              "N": n_spins, "samples": samples, "nmax": nmax, "seed": seed}
     result = {name: {"passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,
                      "sigma": c.sigma, "note": c.note}
               for name, c in report.checks.items()}
     result["all_passed"] = report.all_passed
     # beside `result`, whose other keys are all identity checks
-    payload = _payload(config, result)
-    payload["diagnostics"] = {"truncation_ratio": report.truncation_ratio}
-    _emit(payload, out)
+    _emit(result, out,
+          diagnostics={"truncation_ratio": report.truncation_ratio})
     if not report.all_passed:
         sys.exit(1)
 

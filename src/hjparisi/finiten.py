@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import _grow_log_weights, _leaf_field
+from .cascade import _check_int, _grow_log_weights, _leaf_field
 from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval, xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
@@ -134,6 +134,10 @@ class _Session:
         _check_size(model, N)
         if q.D != model.D:
             raise ValidationError("path and model dimensions differ")
+        # as sample_cascade: a depth-0 path has one leaf whatever n_max is
+        _check_int("n_max", n_max)
+        if q.K > 0 and n_max < 2:
+            raise ValidationError("n_max must be at least 2")
         self.model, self.N, self.q, self.n_max = model, N, q, int(n_max)
         self.x_flat, self.x3, self.logw_cfg = _enumerate_configs(P1, N)
         self.n_cfg = len(self.x_flat)

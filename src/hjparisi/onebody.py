@@ -42,6 +42,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_per_dim < 3:
             raise ValidationError("nodes_per_dim must be >= 3")
+        # _levels draws at least 8 nodes per level: fewer would be
+        # reported but not used
+        if self.mc_fallback is not None:
+            samples = self.mc_fallback.get("samples", 10 ** 5)
+            if int(samples) < 8:
+                raise ValidationError(
+                    f"mc_fallback samples must be >= 8, got {samples!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .critpoint import SolverOptions, _parisi_terms
 from .errors import NonConvergence, NotIncreasing, ValidationError
 from .model import grad_lipschitz_upper_bound, sym_basis, xi_star
 from .onebody import QuadratureSpec, _psi_pass
-from .paths import PiecewisePath
+from .paths import PiecewisePath, _on_partition
 from .util import (_Ascent, check_times, chunked_thread_map, clip_increments,
                    node_rng)
 
@@ -60,11 +60,6 @@ def _merged_partition(q, partition):
                 f"partition breakpoints must lie in (0, 1), got {list(extra)}")
     return np.unique(np.concatenate([np.asarray(q.zetas, dtype=float),
                                      [0.0], extra]))
-
-
-def _refit(path, zetas):
-    """Path values resampled onto a finer partition."""
-    return [path.value_at(z) for z in zetas]
 
 
 def _coordinate_ascent(objective, cap, starts, lens, opts, threads=None):
@@ -130,8 +125,9 @@ def parisi_sup(model, P1, t, q, partition=None, opts=None, quad=None,
     zetas = _merged_partition(q, partition)
     lens = np.diff(np.append(zetas, 1.0))
     D = q.D
-    objective = _parisi_objective(model, P1, t, zetas, _refit(q, zetas),
-                                  quad, None, threads)
+    objective = _parisi_objective(model, P1, t, zetas,
+                                  _on_partition(q, zetas).values, quad, None,
+                                  threads)
 
     n_blocks = len(zetas)
     ramp = [0.3 * (k + 1) / n_blocks * np.eye(D) for k in range(n_blocks)]
@@ -140,7 +136,7 @@ def parisi_sup(model, P1, t, q, partition=None, opts=None, quad=None,
     starts = [[np.zeros((D, D)) for _ in range(n_blocks)],
               [0.3 * np.eye(D)] * n_blocks, ramp, rand]
     if opts.initial_p is not None:
-        starts.append(_refit(opts.initial_p, zetas))
+        starts.append(_on_partition(opts.initial_p, zetas).values)
 
     blocks, value, iters, converged, residual = _coordinate_ascent(
         objective, 1.0, starts, lens, opts, threads)
@@ -168,7 +164,7 @@ def hopf_lax_value(model, P1, t, q, opts=None, quad=None, threads=None,
     quad = quad or QuadratureSpec()
     _warn_if_nonconvex(model, "hopf_lax_value")
     zetas = _merged_partition(q, partition)
-    qv = _refit(q, zetas)
+    qv = _on_partition(q, zetas).values
     lens = np.diff(np.append(zetas, 1.0))
     D = q.D
     box = 1.5 * t * max(grad_lipschitz_upper_bound(model), 1e-6)
@@ -190,7 +186,7 @@ def hopf_lax_value(model, P1, t, q, opts=None, quad=None, threads=None,
     starts = [[np.zeros((D, D)) for _ in range(n_blocks)],
               [small * np.eye(D)] * n_blocks, ramp]
     if opts.initial_p is not None:
-        starts.append(_refit(opts.initial_p, zetas))
+        starts.append(_on_partition(opts.initial_p, zetas).values)
 
     _, value, _, converged, _ = _coordinate_ascent(
         objective, box, starts, lens, opts, threads)

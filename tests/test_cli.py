@@ -2,11 +2,12 @@
 
 import json
 
+import click
 import numpy as np
 import pytest
 
 from hjparisi import QuadratureSpec, ising_measure, psi_grad
-from hjparisi.cli import main
+from hjparisi.cli import cli, main
 from hjparisi.paths import path_new
 
 
@@ -24,6 +25,7 @@ def files(tmp_path):
     paths = {}
     specs = {
         "sk.json": {"D": 1, "terms": [{"family": "sk", "beta": 1.0}]},
+        "sk03.json": {"D": 1, "terms": [{"family": "sk", "beta": 0.3}]},
         "bip.json": {"D": 2, "terms": [{"family": "bipartite", "beta": 1.0}]},
         "zero.json": {"zetas": [0.0], "values": [[[0.0]]]},
         "q2.json": {"zetas": [0.0, 0.5], "values": [[[0.1]], [[0.3]]]},
@@ -360,3 +362,142 @@ def test_error_exit_codes(files, capsys):
 
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == 64
+
+
+# one cheap run per command: (argv, the options its `config` must echo,
+# defaults included); --threads and --out never appear in `config`
+CONFIG_CASES = {
+    "model check": (
+        ["--model", "sk.json", "--samples", "20"],
+        {"model": "sk.json", "samples": 20, "seed": 0}),
+    "psi eval": (
+        ["--model", "sk.json", "--path", "zero.json"],
+        {"model": "sk.json", "path": "zero.json", "nodes": 32,
+         "mc_samples": None, "mc_seed": 0}),
+    "psi grad": (
+        ["--model", "sk.json", "--path", "q2.json", "--nodes", "8",
+         "--mc-samples", "50", "--mc-seed", "2", "--threads", "2"],
+        {"model": "sk.json", "path": "q2.json", "nodes": 8,
+         "mc_samples": 50, "mc_seed": 2}),
+    "crit solve": (
+        ["--model", "sk.json", "--path", "zero.json", "--t", "0.02",
+         "--nodes", "8"],
+        {"model": "sk.json", "path": "zero.json", "t": 0.02, "that": 0.0,
+         "tol": 1e-8, "damping": 0.5, "max_iters": 500, "refine": 0,
+         "nodes": 8}),
+    "crit sweep": (
+        ["--model", "sk.json", "--path", "zero.json", "--t-grid",
+         "0.01,0.02", "--nodes", "8", "--damping", "0.7"],
+        {"model": "sk.json", "path": "zero.json", "t_grid": [0.01, 0.02],
+         "that": 0.0, "tol": 1e-8, "damping": 0.7, "max_iters": 500,
+         "nodes": 8}),
+    "parisi sup": (
+        ["--model", "sk.json", "--path", "zero.json", "--t", "0.5",
+         "--nodes", "8"],
+        {"model": "sk.json", "path": "zero.json", "t": 0.5,
+         "partition": None, "nodes": 8}),
+    "parisi hopflax": (
+        ["--model", "sk.json", "--path", "zero.json", "--t", "0.5",
+         "--nodes", "8"],
+        {"model": "sk.json", "path": "zero.json", "t": 0.5, "nodes": 8}),
+    "parisi std": (
+        ["--model", "sk03.json"],
+        {"model": "sk03.json", "nodes": 16}),
+    "cascade diag": (
+        ["--zetas", "0.5", "--nmax", "8", "--draws", "100", "--gg-draws",
+         "40"],
+        {"zetas": [0.5], "nmax": 8, "draws": 100, "gg_draws": 40, "gg_n": 3,
+         "gg_functions": "one,r12", "seed": 0}),
+    "finiteN fe": (
+        ["--model", "sk.json", "--path", "q2.json", "--t", "0.1", "--n", "2",
+         "--samples", "10", "--nmax", "4"],
+        {"model": "sk.json", "path": "q2.json", "t": 0.1, "that": 0.0,
+         "N": 2, "samples": 10, "nmax": 4, "seed": 0}),
+    "finiteN overlap": (
+        ["--model", "sk.json", "--path", "q2.json", "--t", "0.1", "--n", "2",
+         "--samples", "10", "--nmax", "4", "--seed", "5"],
+        {"model": "sk.json", "path": "q2.json", "t": 0.1, "that": 0.0,
+         "N": 2, "samples": 10, "nmax": 4, "seed": 5, "histogram": False}),
+    "finiteN check": (
+        ["--model", "sk.json", "--path", "q2.json", "--t", "0.1", "--n", "2",
+         "--samples", "20", "--nmax", "4"],
+        {"model": "sk.json", "path": "q2.json", "t": 0.1, "that": 0.0,
+         "N": 2, "samples": 20, "nmax": 4, "seed": 0}),
+}
+
+
+def _leaf_commands(group, prefix=()):
+    for name, command in group.commands.items():
+        if isinstance(command, click.Group):
+            yield from _leaf_commands(command, prefix + (name,))
+        else:
+            yield " ".join(prefix + (name,)), command
+
+
+def test_every_command_echoes_exactly_its_options(files, capsys):
+    commands = dict(_leaf_commands(cli))
+    # a command added without a case here fails this test
+    assert set(commands) == set(CONFIG_CASES)
+    for name, (argv, expected) in CONFIG_CASES.items():
+        out_file = files["dir"] / "out.txt"
+        code, out, _ = run_cli(name.split() + [files.get(a, a) for a in argv]
+                               + ["--out", str(out_file)], capsys)
+        assert code in (0, 1) and out, name   # finiteN check may exit 1
+        if out.startswith("# hjparisi-csv"):
+            config = json.loads(out.splitlines()[0].split("config=", 1)[1])
+        else:
+            config = json.loads(out)["config"]
+        expected = {k: files.get(v, v) if isinstance(v, str) else v
+                    for k, v in expected.items()}
+        assert config == expected, name
+        assert set(config) == {p.name for p in commands[name].params} - {
+            "threads", "out"}, name
+
+
+SEEDED = [
+    ["model", "check", "--model", "sk.json"],
+    ["psi", "eval", "--model", "sk.json", "--path", "q2.json",
+     "--mc-samples", "50"],
+    ["psi", "grad", "--model", "sk.json", "--path", "q2.json",
+     "--mc-samples", "50"],
+    ["cascade", "diag", "--zetas", "0.3"],
+    ["finiteN", "fe", "--model", "sk.json", "--path", "q2.json", "--t", "0.1",
+     "--n", "2"],
+    ["finiteN", "overlap", "--model", "sk.json", "--path", "q2.json", "--t",
+     "0.1", "--n", "2"],
+    ["finiteN", "check", "--model", "sk.json", "--path", "q2.json", "--t",
+     "0.1", "--n", "2"],
+]
+
+
+@pytest.mark.parametrize("command", SEEDED, ids=lambda c: " ".join(c[:2]))
+def test_negative_seeds_are_usage_errors(files, capsys, command):
+    option = "--mc-seed" if command[0] == "psi" else "--seed"
+    argv = [files.get(a, a) for a in command] + [option, "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize("nmax", ["-2", "0", "1"])
+def test_finiten_rejects_a_truncation_it_cannot_run(files, capsys, nmax):
+    code, out, err = run_cli(
+        ["finiteN", "fe", "--model", files["sk.json"], "--path",
+         files["q2.json"], "--t", "0.1", "--n", "2", "--samples", "10",
+         "--nmax", nmax], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: n_max must be at least 2" in err
+
+
+def test_psi_rejects_fewer_than_eight_mc_samples(files, capsys):
+    args = ["psi", "eval", "--model", files["sk.json"], "--path",
+            files["q2.json"], "--mc-samples"]
+    code, out, err = run_cli(args + ["3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: mc_fallback samples must be >= 8, got 3" in err
+    code, out, _ = run_cli(args + ["8"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["mc_samples"] == 8

@@ -378,3 +378,27 @@ def test_validation_comes_before_enumeration(monkeypatch):
     for f in (free_energy_mc, gibbs_overlap_law):
         with pytest.raises(ValidationError, match="dimensions"):
             f(sk(1.0), P1, 3, 0.1, q_d2, 0.0, 50, 8, seed=0)
+
+
+@pytest.mark.parametrize("n_max, message", [(-2, "at least 2"),
+                                            (0, "at least 2"),
+                                            (1, "at least 2"),
+                                            (4.0, "must be an integer")])
+def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
+    # as sample_cascade: a path with steps needs two atoms per node
+    runs = [
+        lambda: free_energy_mc(sk(1.0), P1, 2, 0.1, Q2, 0.0, 4, n_max, 0),
+        lambda: gibbs_overlap_law(sk(1.0), P1, 2, 0.1, Q2, 0.0, 4, n_max, 0),
+        lambda: identity_checks(sk(1.0), P1, 2, 0.1, Q2, 4, 0, n_max=n_max),
+    ]
+    for run in runs:
+        with pytest.raises(ValidationError, match=message):
+            run()
+
+
+def test_a_flat_path_runs_at_any_integer_truncation():
+    # a depth-0 path has one leaf, so n_max plays no part
+    q0 = scalar_path([0.0], [0.2])
+    ests = [free_energy_mc(sk(1.0), P1, 2, 0.1, q0, 0.0, 8, n_max, seed=3)
+            for n_max in (0, 1, 64)]
+    assert ests[0] == ests[1] == ests[2]

@@ -143,6 +143,15 @@ def test_psi_budget_fallback():
     assert abs(res.value - ref) <= 5 * res.error_estimate + 0.01
 
 
+@pytest.mark.parametrize("samples", [-5, 0, 3, 7])
+def test_mc_fallback_below_eight_samples_is_rejected(samples):
+    # the sampled levels draw at least 8 nodes each, so fewer samples
+    # would be echoed but not used
+    with pytest.raises(ValidationError, match="mc_fallback samples"):
+        QuadratureSpec(mc_fallback={"samples": samples, "seed": 0})
+    QuadratureSpec(mc_fallback={"samples": 8, "seed": 0})
+
+
 def test_psi_grad_single_block_analytic():
     # value from tools/derive_expected.py: d psi / d q = E tanh^2(sqrt(2q) Z)
     g5 = psi_grad(P1, scalar_path([0.0], [0.5]), QUAD)
