@@ -10,8 +10,6 @@ from .cascade import (
     overlap_level_law,
     sample_cascade,
     sample_field,
-    tree_overlap_matrix,
-    ultrametric_tree,
 )
 from .critpoint import (
     CriticalPoint,
@@ -28,7 +26,6 @@ from .errors import (
     BudgetExceeded,
     NonConvergence,
     NotIncreasing,
-    NotUltrametric,
     PartitionMismatch,
     ValidationError,
 )
@@ -66,9 +63,7 @@ from .onebody import (
 from .paths import (
     PiecewisePath,
     SignedPiecewisePath,
-    common_refinement,
     lp_distance,
-    uniform_increase_check,
 )
 from .variational import (
     classic_parisi,
@@ -82,10 +77,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BadBreakpoints", "BudgetExceeded", "CascadeField", "CascadeSample",
     "CriticalPoint", "NonConvergence", "NotIncreasing",
-    "NotUltrametric", "PartitionMismatch", "PiecewisePath", "PsiResult",
+    "PartitionMismatch", "PiecewisePath", "PsiResult",
     "QuadratureSpec", "ReferenceMeasure", "SignedPiecewisePath",
     "SolverOptions", "ValidationError", "XiModel", "bipartite",
-    "classic_parisi", "common_refinement", "continuation", "convexity_probe",
+    "classic_parisi", "continuation", "convexity_probe",
     "free_energy_mc", "frobenius_square", "gaussian_cascade_logfree",
     "gg_check", "gibbs_overlap_law", "grad_lipschitz_const",
     "hat_functional", "hj_functional", "hopf_lax_value", "identity_checks",
@@ -93,6 +88,5 @@ __all__ = [
     "parisi_functional", "parisi_std", "parisi_sup", "psi_eval", "psi_grad",
     "psi_mc", "pure_p", "sample_cascade", "sample_field",
     "sample_hamiltonian", "sk", "solve_critical", "t_critical", "theta_eval",
-    "tree_overlap_matrix", "ultrametric_tree", "uniform_increase_check",
     "xi_eval", "xi_grad", "xi_hessian", "xi_star",
 ]

@@ -1,6 +1,5 @@
 """Truncated Poisson-Dirichlet cascades, their Gaussian fields, and
-overlap diagnostics (level law, Ghirlanda-Guerra residuals, ultrametric
-tree reconstruction).
+overlap diagnostics (level law, Ghirlanda-Guerra residuals).
 
 A depth-K cascade keeps the n_max largest atoms of each node's Poisson
 process; leaf weights are the globally normalized products down the tree.
@@ -17,14 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NotUltrametric, PartitionMismatch, ValidationError
+from .errors import PartitionMismatch, ValidationError
 from .paths import sqrt_increments
 from .util import logsumexp, node_rng
 
 __all__ = [
     "CascadeSample", "CascadeField", "sample_cascade", "sample_field",
     "overlap_level_law", "OverlapLevelLaw", "gg_check", "GGCheckResult",
-    "ultrametric_tree", "TreeNode", "tree_overlap_matrix",
 ]
 
 
@@ -34,9 +32,10 @@ def _check_int(name, value):
 
 
 def _check_zetas(zetas):
+    # stated as what must hold, so NaN fails it
     zetas = np.asarray(zetas, dtype=float)
-    if zetas.size and (np.any(np.diff(zetas) <= 0.0)
-                       or zetas[0] <= 0.0 or zetas[-1] >= 1.0):
+    if zetas.size and not (np.all(np.diff(zetas) > 0.0)
+                           and zetas[0] > 0.0 and zetas[-1] < 1.0):
         raise ValidationError(
             "cascade levels must satisfy 0 < zeta_1 < ... < zeta_K < 1")
     return zetas
@@ -209,16 +208,13 @@ class OverlapLevelLaw:
     zetas: np.ndarray
 
 
-def overlap_level_law(cascade, draws, seed,
-                      resample_cascades=True) -> OverlapLevelLaw:
+def overlap_level_law(cascade, draws, seed) -> OverlapLevelLaw:
     """Empirical law of the common-ancestor level of a Gibbs leaf pair.
 
-    With resample_cascades (default) every draw uses a fresh cascade with
-    the same levels and truncation, so the frequencies estimate the
-    ensemble law, which is zeta_{k+1} - zeta_k per level.  With
-    resample_cascades=False all pairs come from the one passed-in sample;
-    that conditional law is itself random and does not match the ensemble
-    values.
+    Every draw uses a fresh cascade with the same levels and truncation,
+    so the frequencies estimate the ensemble law, which is
+    zeta_{k+1} - zeta_k per level.  A depth-0 cascade has one leaf, so
+    every pair is at level 0.
 
     A leaf is picked by inverse CDF: the first leaf whose cumulative
     weight reaches a uniform u, found by searchsorted on that cascade's
@@ -235,16 +231,12 @@ def overlap_level_law(cascade, draws, seed,
     rng = node_rng(seed, 2)
     counts = np.zeros(K + 1)
     ratio = cascade.truncation_ratio
-    L = max(cascade.n_leaves, 1)
-    batch = max(1, min(draws, int(8e6) // L))
-    resample = resample_cascades and K > 0
-    if not resample:
-        cum = np.cumsum(np.exp(cascade.log_leaf_weights))
-        cum[-1] = 1.0
-    done = 0
-    while done < draws:
-        b = min(batch, draws - done)
-        if resample:
+    if K == 0:
+        counts[0] = draws
+    else:
+        batch = max(1, min(draws, int(8e6) // cascade.n_leaves))
+        for done in range(0, draws, batch):
+            b = min(batch, draws - done)
             logw, r = _grow_log_weights(cascade.zetas, n_max, rng, batch=b)
             ratio = max(ratio, r)
             cum = np.cumsum(np.exp(logw, out=logw), axis=1, out=logw)
@@ -253,11 +245,8 @@ def overlap_level_law(cascade, draws, seed,
             picks = np.empty((2, b), dtype=np.intp)
             for i in range(b):
                 picks[:, i] = np.searchsorted(cum[i], u[:, i])
-        else:
-            picks = np.searchsorted(cum, rng.random((2, b, 1))[:, :, 0])
-        lv = _pair_levels(picks[0], picks[1], n_max, K)
-        counts += np.bincount(lv, minlength=K + 1)
-        done += b
+            lv = _pair_levels(picks[0], picks[1], n_max, K)
+            counts += np.bincount(lv, minlength=K + 1)
     freqs = counts / draws
     stderrs = np.sqrt(np.clip(freqs * (1.0 - freqs), 0.0, None) / draws)
     expected = np.diff(np.concatenate([[0.0], cascade.zetas, [1.0]]))
@@ -351,90 +340,3 @@ def gg_check(cascade, f, n, draws, seed) -> GGCheckResult:
                          float(deltas.std(ddof=1) / np.sqrt(groups)),
                          float(max(ratio, cascade.truncation_ratio)),
                          int(n), groups * per_group * tuples)
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    level: float
-    children: tuple
-    leaf: int | None = None
-
-    def leaves(self):
-        if self.leaf is not None:
-            return [self.leaf]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
-
-
-def ultrametric_tree(overlaps, tol=1e-12) -> TreeNode:
-    """Rooted tree whose leaf-pair merge levels reproduce the matrix.
-
-    Requires a symmetric matrix with maximal diagonal satisfying the
-    ultrametric inequality ov(i,k) >= min(ov(i,j), ov(j,k)) on every
-    triple; raises NotUltrametric with a violating triple otherwise.
-    """
-    ov = np.asarray(overlaps, dtype=float)
-    n = ov.shape[0]
-    if ov.shape != (n, n) or float(np.max(np.abs(ov - ov.T))) > tol:
-        raise NotUltrametric("overlap matrix must be symmetric")
-    if np.any(np.diag(ov)[None, :] < ov - tol) :
-        raise NotUltrametric("diagonal must dominate its column")
-    lower = np.minimum(ov[:, :, None], ov[None, :, :])   # min(ov(i,j), ov(j,k))
-    viol = ov[:, None, :] < lower - tol
-    if viol.any():
-        i, j, k = np.argwhere(viol)[0]
-        raise NotUltrametric(
-            f"triple ({i}, {j}, {k}) violates the min-inequality",
-            triple=(int(i), int(j), int(k)))
-    return _build_tree(ov, list(range(n)), tol)
-
-
-def _build_tree(ov, idx, tol):
-    if len(idx) == 1:
-        i = idx[0]
-        return TreeNode(float(ov[i, i]), (), leaf=i)
-    sub = ov[np.ix_(idx, idx)]
-    off = sub[~np.eye(len(idx), dtype=bool)]
-    s = float(off.min())
-    # classes of the (transitive, by ultrametricity) relation ov > s
-    unassigned = list(idx)
-    classes = []
-    while unassigned:
-        seed_leaf = unassigned.pop(0)
-        cls = [seed_leaf]
-        rest = []
-        for j in unassigned:
-            if ov[seed_leaf, j] > s + tol:
-                cls.append(j)
-            else:
-                rest.append(j)
-        unassigned = rest
-        classes.append(cls)
-    children = tuple(_build_tree(ov, cls, tol) for cls in classes)
-    return TreeNode(s, children)
-
-
-def tree_overlap_matrix(tree, n=None):
-    """Inverse of ultrametric_tree on generated trees."""
-    leaves = tree.leaves()
-    if n is None:
-        n = max(leaves) + 1
-    ov = np.zeros((n, n))
-    _fill_overlaps(tree, ov)
-    return ov
-
-
-def _fill_overlaps(node, ov):
-    if node.leaf is not None:
-        ov[node.leaf, node.leaf] = node.level
-        return
-    groups = [c.leaves() for c in node.children]
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            for i in groups[a]:
-                for j in groups[b]:
-                    ov[i, j] = ov[j, i] = node.level
-    for c in node.children:
-        _fill_overlaps(c, ov)

@@ -3,14 +3,16 @@
 Every payload's `config` is the options click parsed for the command,
 defaults included, except --threads and --out, so runs can be reproduced
 from the artifact alone; JSON payloads carry a schema_version field, CSV
-sweeps carry it in a leading comment line.  Seeds are non-negative and
---mc-samples is at least 8.  Exit codes: 0 success, 1 validation error,
-2 numerical non-convergence, 64 usage error.
+sweeps carry it in a leading comment line.  Seeds are non-negative,
+--mc-samples is at least 8 and --out is writable before any work starts.
+Exit codes: 0 success, 1 validation error, 2 numerical non-convergence,
+64 usage error.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -99,6 +101,18 @@ def _float_list(ctx, param, value):
             f"{value!r} is not a comma-separated list of numbers") from None
 
 
+def _writable(ctx, param, value):
+    """Click callback: --out names a file that can be written, checked
+    before the command starts its work."""
+    if value:
+        folder = os.path.dirname(os.path.abspath(value))
+        target = value if os.path.exists(value) else folder
+        if (os.path.isdir(value) or not os.path.isdir(folder)
+                or not os.access(target, os.W_OK)):
+            raise click.BadParameter(f"cannot write to {value}")
+    return value
+
+
 def _options(*opts):
     """Decorator: the click options, in the order given."""
     def apply(f):
@@ -114,13 +128,13 @@ def _seed_option(flag="--seed"):
 
 model_option = click.option("--model", required=True)
 path_option = click.option("--path", required=True)
-out_option = click.option("--out", default=None)
+out_option = click.option("--out", default=None, callback=_writable)
 t_option = click.option("--t", type=float, required=True)
 that_option = click.option("--that", type=float, default=0.0)
 nmax_option = click.option("--nmax", type=int, default=64)
 threads_option = click.option("--threads", type=int, default=None,
-                              help="worker cap (default: HJPARISI_THREADS "
-                                   "or 1); results do not depend on it")
+                              help="worker cap (default 1); results do not "
+                                   "depend on it")
 nodes_option = click.option("--nodes", type=int, default=32,
                             help="Gauss-Hermite nodes per dimension")
 # the variational searches evaluate psi thousands of times, so their

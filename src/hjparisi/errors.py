@@ -22,14 +22,6 @@ class PartitionMismatch(ValidationError):
     """Two objects that must share a breakpoint partition do not."""
 
 
-class NotUltrametric(ValidationError):
-    """An overlap matrix violates the ultrametric triple inequality."""
-
-    def __init__(self, message, triple=None):
-        super().__init__(message)
-        self.triple = triple
-
-
 class BudgetExceeded(ValidationError):
     """A deterministic evaluation would exceed its configured budget."""
 

@@ -46,6 +46,8 @@ class XiModel:
             if c.shape != (n, n):
                 raise ValidationError(
                     f"coefficient for degree {p} must be {n}x{n}, got {c.shape}")
+            if not np.isfinite(c).all():
+                raise ValidationError(f"coefficient for degree {p} is not finite")
             if float(np.max(np.abs(c - c.T))) > 1e-9:
                 raise ValidationError(f"coefficient for degree {p} is not symmetric")
             c = sym(c)
@@ -57,9 +59,6 @@ class XiModel:
             factors.append(vec * np.sqrt(np.clip(lam, 0.0, None)))
         object.__setattr__(self, "terms", tuple(checked))
         object.__setattr__(self, "factors", tuple(factors))
-
-    def degrees(self):
-        return [p for p, _ in self.terms]
 
     @cached_property
     def convexity(self):
@@ -77,6 +76,8 @@ class ReferenceMeasure:
         weights = np.asarray(self.weights, dtype=float)
         if atoms.ndim != 2 or len(atoms) != len(weights):
             raise ValidationError("atoms and weights must have matching length")
+        if not (np.isfinite(atoms).all() and np.isfinite(weights).all()):
+            raise ValidationError("atoms and weights must be finite")
         if np.any(weights < 0.0):
             raise ValidationError("weights must be non-negative")
         if abs(float(weights.sum()) - 1.0) > 1e-12:
@@ -249,21 +250,20 @@ def grad_lipschitz_upper_bound(model) -> float:
     return total
 
 
-def xi_star(model, a, radius, x0=None, return_argmax=False):
+def xi_star(model, a, radius, return_argmax=False):
     """Convex dual sup over PSD b with |b| <= radius of a.b - xi(b).
 
     The shared projected-gradient ascent util._Ascent on one block with
     norm cap radius, whose projection onto the PSD cone intersected with
     the Frobenius ball is eigenvalue clipping followed by radial scaling.
     On a model that passes its convexity probe the objective is concave,
-    so one start (x0, else 0) suffices; otherwise every start climbs to
+    so the one start 0 suffices; otherwise every start climbs to
     convergence and the best value wins, ties to the earlier start.  The
     gradient is exact, so the first-order tolerance is 1e-9 rather than
     the quadrature-limited default, at which flat maxima on the PSD
     boundary leave the argmax 4e-7 short.  Raises NonConvergence if no
     run meets it.  With return_argmax the best maximizer is returned
-    alongside the value (handy as a warm start for repeated nearby calls
-    via x0).
+    alongside the value.
     """
     if radius <= 0.0:
         raise ValidationError("radius must be positive")
@@ -274,8 +274,7 @@ def xi_star(model, a, radius, x0=None, return_argmax=False):
         return (float(np.sum(a * b)) - xi_eval(model, b),
                 [a - xi_grad(model, b)])
 
-    inits = [] if x0 is None else [np.asarray(x0, dtype=float)]
-    inits += [np.zeros_like(a), a, 0.25 * radius * np.eye(model.D)]
+    inits = [np.zeros_like(a), a, 0.25 * radius * np.eye(model.D)]
     if model.convexity.is_convex_on_psd:
         inits = inits[:1]
     else:

@@ -14,17 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadBreakpoints, NotIncreasing
-from .util import PSD_TOL, frob, sym
+from .util import PSD_TOL, sym
 
 __all__ = [
     "SignedPiecewisePath",
     "PiecewisePath",
     "path_new",
     "signed_path_new",
-    "common_refinement",
     "lp_distance",
-    "dual_cone_member",
-    "uniform_increase_check",
     "sqrt_increments",
     "path_from_json_dict",
     "path_to_json_dict",
@@ -56,11 +53,14 @@ class SignedPiecewisePath:
                 f"{len(zetas)} breakpoints for {len(values)} values")
         if len(zetas) == 0:
             raise BadBreakpoints("a path needs at least one block")
-        if abs(zetas[0]) > 0.0:
+        # the breakpoint tests are stated as what must hold, so NaN fails
+        if zetas[0] != 0.0:
             raise BadBreakpoints(f"zeta_0 must be 0, got {zetas[0]}")
-        if np.any(np.diff(zetas) <= 0.0) or zetas[-1] >= 1.0:
+        if not (np.all(np.diff(zetas) > 0.0) and zetas[-1] < 1.0):
             raise BadBreakpoints(
                 "breakpoints must be strictly increasing inside [0, 1)")
+        if not np.isfinite(values).all():
+            raise BadBreakpoints("values must be finite")
         symmetric = sym(values)
         asym = float(np.max(np.abs(values - symmetric))) if values.size else 0.0
         if asym > 1e-9:
@@ -138,66 +138,14 @@ def refine_all(paths):
     return [_on_partition(p, merged) for p in paths]
 
 
-def common_refinement(q, q_prime):
-    """refine_all of the two paths."""
-    return refine_all([q, q_prime])
-
-
 def lp_distance(q, q_prime, p=2.0) -> float:
     """Exact L^p([0,1]) distance of two step paths, Frobenius pointwise."""
-    a, b = common_refinement(q, q_prime)
+    a, b = refine_all([q, q_prime])
     diffs = np.linalg.norm(a.values - b.values, axis=(1, 2))
     lens = a.lengths()
     if np.isinf(p):
         return float(diffs.max())
     return float(np.sum(lens * diffs ** p) ** (1.0 / p))
-
-
-def dual_cone_member(kappa, tol=PSD_TOL) -> bool:
-    """Whether every tail integral of the signed path is PSD.
-
-    The tail integral over [t, 1] is linear in t inside each block, so it
-    is enough to check it at each breakpoint.
-    """
-    lens = kappa.lengths()
-    tail = np.zeros((kappa.D, kappa.D))
-    for k in range(kappa.K, -1, -1):
-        tail = tail + lens[k] * kappa.values[k]
-        if float(np.linalg.eigvalsh(sym(tail))[0]) < -tol:
-            return False
-    return True
-
-
-def uniform_increase_check(q, c, ramp_slope=0.0, tol=1e-9) -> bool:
-    """Check uniform increase of the composite u -> q(u) + ramp_slope*u*Id.
-
-    Membership requires q(0) = 0 and, for every u <= v, that the composite
-    increment dominates c*(v-u)*Id and has largest/smallest eigenvalue
-    ratio at most 1/c.  Both conditions are monotone along blocks, so
-    checking the closed gap interval endpoints of each block pair is
-    exhaustive for step paths.  A pure step path (ramp_slope = 0) always
-    fails the lower bound within a block.
-    """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
-    if frob(q.values[0]) > tol:
-        return False
-    z = np.append(q.zetas, 1.0)
-    s = float(ramp_slope)
-    for i in range(q.K + 1):
-        for j in range(i, q.K + 1):
-            delta = q.values[j] - q.values[i]
-            lam = np.linalg.eigvalsh(sym(delta))
-            lo, hi = float(lam[0]), float(lam[-1])
-            x_min = max(0.0, z[j] - z[i + 1])
-            x_max = z[j + 1] - z[i]
-            for x in (x_min, x_max):
-                if lo + (s - c) * x < -tol:
-                    return False
-            # eigenvalue-ratio condition, worst at the smallest gap
-            if hi + s * x_min > (lo + s * x_min) / c + tol:
-                return False
-    return True
 
 
 def sqrt_increments(q):

@@ -3,7 +3,6 @@ deterministic thread map."""
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -155,15 +154,8 @@ def node_rng(seed, *key):
 
 
 def resolve_threads(threads=None):
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("HJPARISI_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Worker count: threads, at least 1; None means 1."""
+    return 1 if threads is None else max(1, int(threads))
 
 
 def chunked_thread_map(fn, items, threads=1):

@@ -1,4 +1,4 @@
-"""Truncated cascades, their overlap laws, fields, and tree reconstruction."""
+"""Truncated cascades, their overlap laws and fields."""
 
 import hashlib
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hjparisi import (
-    NotUltrametric,
     PartitionMismatch,
     ReferenceMeasure,
     ValidationError,
@@ -15,10 +14,8 @@ from hjparisi import (
     psi_mc,
     sample_cascade,
     sample_field,
-    tree_overlap_matrix,
-    ultrametric_tree,
 )
-from hjparisi.cascade import _grow_log_weights
+from hjparisi.cascade import _grow_log_weights, _pair_levels
 from hjparisi.paths import path_new, sqrt_increments
 from hjparisi.util import node_rng
 
@@ -74,14 +71,6 @@ def test_overlap_level_law_matches_increments():
     for f, e, s in zip(law.freqs, law.expected, law.stderrs):
         assert abs(f - e) <= 4 * s + 0.004
     assert law.truncation_ratio < 0.05
-
-
-def test_overlap_level_law_conditional_mode_runs():
-    c = sample_cascade([0.5], n_max=32, seed=4)
-    law = overlap_level_law(c, draws=500, seed=6, resample_cascades=False)
-    assert law.freqs.sum() == pytest.approx(1.0)
-    law2 = overlap_level_law(c, draws=500, seed=6, resample_cascades=False)
-    np.testing.assert_array_equal(law.freqs, law2.freqs)
 
 
 def test_gg_check_constant_and_overlap_functions():
@@ -145,44 +134,18 @@ def test_field_is_the_ancestry_sum_of_node_vectors():
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
 
 
-def test_ultrametric_tree_roundtrip():
-    ov = np.array([
-        [1.0, 0.8, 0.3, 0.3],
-        [0.8, 1.0, 0.3, 0.3],
-        [0.3, 0.3, 1.0, 0.8],
-        [0.3, 0.3, 0.8, 1.0],
-    ])
-    tree = ultrametric_tree(ov)
-    assert sorted(tree.leaves()) == [0, 1, 2, 3]
-    np.testing.assert_allclose(tree_overlap_matrix(tree), ov)
-
-
-def test_ultrametric_tree_rejects_violations():
-    bad = np.array([
-        [1.0, 0.7, 0.3],
-        [0.7, 1.0, 0.5],
-        [0.3, 0.5, 1.0],
-    ])
-    with pytest.raises(NotUltrametric) as exc_info:
-        ultrametric_tree(bad)
-    assert exc_info.value.triple is not None
-    i, j, k = exc_info.value.triple
-    assert bad[i, k] < min(bad[i, j], bad[j, k])
-
-
 def test_sampled_overlap_matrix_is_ultrametric():
     # overlaps read off a sampled cascade through common-ancestor levels
-    # must always embed into a tree
+    # satisfy ov(i,k) >= min(ov(i,j), ov(j,k)) on every triple
     c = sample_cascade([0.3, 0.6], n_max=3, seed=13)
     zet = np.array([0.0, 0.3, 0.6])
-    rng = node_rng(21, 0)
-    leaves = rng.integers(0, c.n_leaves, size=6)
-    from hjparisi.cascade import _pair_levels
+    leaves = node_rng(21, 0).integers(0, c.n_leaves, size=12)
     lv = _pair_levels(leaves[:, None], leaves[None, :], c.n_max, c.K)
+    assert set(lv[np.triu_indices(12, 1)]) == {0, 1, 2}
     ov = zet[np.minimum(lv, c.K)]
     np.fill_diagonal(ov, 1.0)
-    tree = ultrametric_tree(ov)
-    np.testing.assert_allclose(tree_overlap_matrix(tree, n=6), ov)
+    assert np.all(ov[:, None, :]
+                  >= np.minimum(ov[:, :, None], ov[None, :, :]))
 
 
 def test_sizes_must_be_integers():
@@ -240,20 +203,17 @@ PINNED_CASCADES = {   # name: (zetas, n_max, seed), (log weights, ratio)
     "K2": (((0.3, 0.6), 8, 1), ("cd16855fa3412b7e", "0x1.cf39afb92a225p-6")),
 }
 
-PINNED_LAWS = {   # name: (cascade, draws, seed, resample), (freqs..., ratio)
-    "K1": ((((0.4,), 16, 9), 3000, 5, True), (
+PINNED_LAWS = {   # name: (cascade, draws, seed), (freqs..., ratio)
+    "K1": ((((0.4,), 16, 9), 3000, 5), (
         "0x1.a37fa89e60f05p-2", "0x1.2e402bb0cf87ep-1",
         "0x1.670767b8470fbp-6")),
-    "K2": ((((0.3, 0.6), 8, 1), 3000, 6, True), (
+    "K2": ((((0.3, 0.6), 8, 1), 3000, 6), (
         "0x1.0aec33e1f6715p-2", "0x1.21735ee402bb1p-2",
         "0x1.d3a06d3a06d3ap-2", "0x1.7d6f393662524p-4")),
     # 4096 leaves cap a batch at 1953 draws, so this one takes two
-    "K2_two_batches": ((((0.2, 0.4), 64, 3), 2000, 5, True), (
+    "K2_two_batches": ((((0.2, 0.4), 64, 3), 2000, 5), (
         "0x1.8b4395810624ep-3", "0x1.a9fbe76c8b439p-3",
         "0x1.32b020c49ba5ep-1", "0x1.60f16d39c7115p-10")),
-    "K2_conditional": ((((0.3, 0.6), 8, 1), 3000, 7, False), (
-        "0x1.3e1f671529a48p-4", "0x1.3333333333333p-3",
-        "0x1.8b6f46508dfeap-1", "0x1.cf39afb92a225p-6")),
 }
 
 PINNED_PSI_MC = {   # (value, error estimate, truncation ratio)
@@ -273,9 +233,8 @@ def test_sample_cascade_is_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(PINNED_LAWS))
 def test_overlap_level_law_is_pinned(name):
-    (casc, draws, seed, resample), expected = PINNED_LAWS[name]
-    law = overlap_level_law(sample_cascade(*casc), draws, seed,
-                            resample_cascades=resample)
+    (casc, draws, seed), expected = PINNED_LAWS[name]
+    law = overlap_level_law(sample_cascade(*casc), draws, seed)
     got = tuple(f.hex() for f in law.freqs) + (law.truncation_ratio.hex(),)
     assert got == expected
 

@@ -6,7 +6,7 @@ import click
 import numpy as np
 import pytest
 
-from hjparisi import QuadratureSpec, ising_measure, psi_grad
+from hjparisi import QuadratureSpec, ising_measure, onebody, psi_grad
 from hjparisi.cli import cli, main
 from hjparisi.paths import path_new
 
@@ -343,6 +343,42 @@ def test_out_flag_mirrors_stdout(files, capsys):
                             str(target)], capsys)
     assert code == 0
     assert target.read_text() == out
+
+
+def test_an_unwritable_out_stops_before_any_work(files, capsys,
+                                                monkeypatch):
+    calls = []
+    work = onebody._psi_pass
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return work(*args, **kwargs)
+
+    monkeypatch.setattr(onebody, "_psi_pass", recorded)
+    args = ["psi", "eval", "--model", files["sk.json"], "--path",
+            files["q2.json"], "--out"]
+    code, _, _ = run_cli(args + [str(files["dir"] / "x.json")], capsys)
+    assert code == 0 and len(calls) == 1
+    for target in (files["dir"] / "missing" / "x.json", files["dir"]):
+        code, out, err = run_cli(args + [str(target)], capsys)
+        assert code == 64
+        assert out == ""
+        assert "Invalid value for '--out'" in err
+        assert "Traceback" not in err
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("case", ["cascade diag", "psi eval"])
+def test_non_finite_inputs_are_validation_errors(files, capsys, case):
+    nan_path = files["dir"] / "nan.json"
+    nan_path.write_text('{"zetas": [0.0, NaN], "values": [[[0.1]], [[0.3]]]}')
+    argv = {"cascade diag": ["cascade", "diag", "--zetas", "nan"],
+            "psi eval": ["psi", "eval", "--model", files["sk.json"],
+                         "--path", str(nan_path)]}[case]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_error_exit_codes(files, capsys):

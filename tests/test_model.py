@@ -132,8 +132,6 @@ def test_xi_star_warm_start_and_argmax():
     # quadratic dual: argmax y/2, value |y|^2/4
     np.testing.assert_allclose(arg, y / 2.0, atol=1e-5)
     assert val == pytest.approx(np.sum(y * y) / 4.0, abs=1e-8)
-    val2 = xi_star(model, y, radius=3.0, x0=arg)
-    assert val2 == pytest.approx(val, abs=1e-10)
 
 
 def test_xi_star_keeps_the_sup_on_a_nonconvex_model(monkeypatch):

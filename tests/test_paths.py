@@ -10,12 +10,9 @@ from hjparisi import (
     NotIncreasing,
     PiecewisePath,
     SignedPiecewisePath,
-    common_refinement,
     lp_distance,
-    uniform_increase_check,
 )
 from hjparisi.paths import (
-    dual_cone_member,
     path_from_json_dict,
     path_new,
     path_to_json_dict,
@@ -79,7 +76,7 @@ def test_matrix_increments_must_be_psd():
 def test_common_refinement_preserves_pointwise_values():
     a = scalar_path([0.0, 0.5], [0.1, 0.3])
     b = scalar_path([0.0, 0.25, 0.75], [0.0, 0.2, 0.6])
-    ar, br = common_refinement(a, b)
+    ar, br = refine_all([a, b])
     assert np.array_equal(ar.zetas, br.zetas)
     for u in [0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 1.0]:
         np.testing.assert_allclose(ar.value_at(u), a.value_at(u))
@@ -102,26 +99,6 @@ def test_lp_distance_hand_value():
     assert lp_distance(a, b, 1) == pytest.approx(0.5)
     assert lp_distance(a, b, 2) == pytest.approx(np.sqrt(0.5))
     assert lp_distance(a, b, np.inf) == pytest.approx(1.0)
-
-
-def test_dual_cone_member():
-    # negative early value compensated by a large tail is still in the cone
-    k1 = signed_path_new([0.0, 0.5], [[[-0.5]], [[1.0]]])
-    assert dual_cone_member(k1)
-    # negative tail cannot be repaired
-    k2 = signed_path_new([0.0, 0.5], [[[1.0]], [[-0.5]]])
-    assert not dual_cone_member(k2)
-
-
-def test_uniform_increase_needs_a_ramp():
-    q = scalar_path([0.0, 0.5], [0.0, 0.2])
-    assert not uniform_increase_check(q, c=0.05)
-    assert uniform_increase_check(q, c=0.05, ramp_slope=0.1)
-
-
-def test_uniform_increase_rejects_nonzero_origin():
-    q = scalar_path([0.0], [0.3])
-    assert not uniform_increase_check(q, c=0.01, ramp_slope=0.05)
 
 
 def test_sqrt_increments_reconstruct():
