@@ -25,10 +25,19 @@ __all__ = [
     "overlap_level_law", "OverlapLevelLaw", "gg_check", "GGCheckResult",
 ]
 
+# leaf weights a batch of fresh cascades may hold: batch * n_leaves
+_BATCH_LEAVES = 8_000_000
+
 
 def _check_int(name, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(name, value):
+    _check_int(name, value)
+    if value < 0:
+        raise ValidationError(f"{name} must be non-negative, got {value}")
 
 
 def _check_zetas(zetas):
@@ -65,7 +74,9 @@ def _grow_log_weights(zetas, n_max, rng, batch=None):
     """Log leaf weights for `batch` independent cascades (None: single).
 
     Returns (logw, ratio) with logw of shape (batch, n_max**K) and ratio
-    the largest discarded-atom / retained-mass ratio seen at any node.
+    the largest discarded-atom / retained-mass ratio seen at any node.  At
+    depth 0 every cascade is one leaf of log weight 0.0 with ratio 0.0,
+    and nothing is drawn from rng.
 
     Each level draws one (batch, parents, n_max + 1) array of unit
     exponentials and turns it, in its own buffer, into the atom logs
@@ -113,13 +124,10 @@ def sample_cascade(zetas, n_max, seed) -> CascadeSample:
     """
     zetas = _check_zetas(zetas)
     _check_int("n_max", n_max)
+    _check_seed("seed", seed)
     if len(zetas) and n_max < 2:
         raise ValidationError("n_max must be at least 2")
-    if len(zetas) == 0:
-        return CascadeSample(zetas, int(n_max), int(seed),
-                             np.zeros(1), 0.0)
-    rng = node_rng(seed, 0)
-    logw, ratio = _grow_log_weights(zetas, n_max, rng)
+    logw, ratio = _grow_log_weights(zetas, n_max, node_rng(seed, 0))
     return CascadeSample(zetas, int(n_max), int(seed), logw, ratio)
 
 
@@ -184,18 +192,23 @@ def _pair_levels(leaf_a, leaf_b, n_max, K):
     return levels
 
 
-def _gumbel_pick(logw, rng, count):
-    """`count` independent categorical draws per row of logw.
+def _pick_leaves(cum, rng, count):
+    """`count` independent leaf picks per row of cum, shape (count, rows).
 
-    The Gumbel keys logw - log(-log(u)) are formed in the uniforms' own
-    buffer before the argmax."""
-    b, L = logw.shape
-    keys = rng.random((count, b, L))
-    np.log(keys, out=keys)
-    np.negative(keys, out=keys)
-    np.log(keys, out=keys)
-    np.subtract(logw, keys, out=keys)
-    return np.argmax(keys, axis=2)  # shape (count, b)
+    cum holds each cascade's cumulative leaf weights, one row per
+    cascade.  A leaf is picked by inverse CDF: the first leaf whose
+    cumulative weight reaches a uniform u, found by searchsorted on the
+    row.  The last cumulative weight is pinned to 1.  Since u < 1, the
+    test cum >= u stays monotone along the row even where rounding puts
+    an earlier partial sum above 1, so the binary search finds that first
+    leaf.
+    """
+    cum[:, -1] = 1.0
+    u = rng.random((count, len(cum)))
+    picks = np.empty(u.shape, dtype=np.intp)
+    for i, row in enumerate(cum):
+        picks[:, i] = np.searchsorted(row, u[:, i])
+    return picks
 
 
 @dataclass(frozen=True)
@@ -216,15 +229,13 @@ def overlap_level_law(cascade, draws, seed) -> OverlapLevelLaw:
     zeta_{k+1} - zeta_k per level.  A depth-0 cascade has one leaf, so
     every pair is at level 0.
 
-    A leaf is picked by inverse CDF: the first leaf whose cumulative
-    weight reaches a uniform u, found by searchsorted on that cascade's
-    row.  The last cumulative weight is pinned to 1.  Since u < 1, the
-    test cum >= u stays monotone along the row even where rounding puts
-    an earlier partial sum above 1, so the binary search finds that first
-    leaf.  Fresh cascades are exponentiated and summed in the growth's
-    own (batch, leaves) buffer.
+    Fresh cascades grow in batches of at most _BATCH_LEAVES leaf weights;
+    each is exponentiated and summed in the growth's own (batch, leaves)
+    buffer, and both leaves of a pair are picked from it by inverse CDF
+    (_pick_leaves).
     """
     _check_int("draws", draws)
+    _check_seed("seed", seed)
     if draws < 1:
         raise ValidationError("draws must be >= 1")
     K, n_max = cascade.K, cascade.n_max
@@ -234,17 +245,13 @@ def overlap_level_law(cascade, draws, seed) -> OverlapLevelLaw:
     if K == 0:
         counts[0] = draws
     else:
-        batch = max(1, min(draws, int(8e6) // cascade.n_leaves))
+        batch = max(1, min(draws, _BATCH_LEAVES // cascade.n_leaves))
         for done in range(0, draws, batch):
             b = min(batch, draws - done)
             logw, r = _grow_log_weights(cascade.zetas, n_max, rng, batch=b)
             ratio = max(ratio, r)
             cum = np.cumsum(np.exp(logw, out=logw), axis=1, out=logw)
-            cum[:, -1] = 1.0
-            u = rng.random((2, b, 1))[:, :, 0]
-            picks = np.empty((2, b), dtype=np.intp)
-            for i in range(b):
-                picks[:, i] = np.searchsorted(cum[i], u[:, i])
+            picks = _pick_leaves(cum, rng, 2)
             lv = _pair_levels(picks[0], picks[1], n_max, K)
             counts += np.bincount(lv, minlength=K + 1)
     freqs = counts / draws
@@ -275,68 +282,65 @@ def gg_check(cascade, f, n, draws, seed) -> GGCheckResult:
     comes from 20 batch means; truncation_bias is the worst discarded
     atom ratio seen, reported as an additive allowance.  The result's
     draws is the number of replica tuples actually sampled, 20 groups of
-    max(1, max(20, draws // 8) // 20) cascades with 8 tuples each, which
-    can differ from the requested draws.
+    max(20, draws // 8) // 20 cascades with 8 tuples each, which can
+    differ from the requested draws.
+
+    Cascades grow in capped batches and replicas are picked by inverse
+    CDF, as in overlap_level_law; only f runs one tuple at a time.
     """
     _check_int("n", n)
     _check_int("draws", draws)
+    _check_seed("seed", seed)
     if n < 2:
         raise ValidationError("n must be >= 2")
     if draws < 20:
         raise ValidationError("draws must be at least 20")
-    K, n_max = cascade.K, cascade.n_max
-    zet = np.concatenate([[0.0], cascade.zetas])   # level value map, k -> zeta_k
     rng = node_rng(seed, 3)
     tuples = 8                  # replica tuples sampled per cascade
-    n_casc = max(20, draws // tuples)
     groups = 20
-    per_group = max(1, n_casc // groups)
-    deltas = []
-    ratio = 0.0
-    for _ in range(groups):
-        acc_t1 = acc_f = acc_r12 = 0.0
-        acc_fl = np.zeros(max(n - 1, 1))
-        count = 0
-        for _ in range(per_group):
-            if K > 0:
-                logw, r = _grow_log_weights(cascade.zetas, n_max, rng, batch=1)
-                logw = logw[0]
-                ratio = max(ratio, r)
-            else:
-                logw = cascade.log_leaf_weights
-            w = np.exp(logw)
-            L = len(w)
-            # mass sharing at least level j with each leaf, then B and E<R>
-            share = np.empty((K + 2, L))
-            share[0] = 1.0
-            for j in range(1, K + 1):
-                node_w = w.reshape(n_max ** j, -1).sum(axis=1)
-                share[j] = np.repeat(node_w, L // (n_max ** j))
-            share[K + 1] = 0.0
-            exact_mass = share[:K + 1] - share[1:K + 2]
-            b_leaf = zet @ exact_mass
-            r12 = float(zet @ (exact_mass @ w))
-            tup = _gumbel_pick(np.broadcast_to(logw, (tuples, L)),
-                               rng, n)          # (n, tuples)
-            for t in range(tuples):
-                leaves = tup[:, t]
-                lv = _pair_levels(leaves[:, None], leaves[None, :], n_max, K)
-                rmat = zet[np.minimum(lv, K)]
-                np.fill_diagonal(rmat, 1.0)
-                fv = float(f(rmat))
-                acc_t1 += fv * float(b_leaf[leaves[0]])
-                acc_f += fv
-                for l in range(1, n):
-                    acc_fl[l - 1] += fv * rmat[0, l]
-                count += 1
-            acc_r12 += r12
-        m_t1 = acc_t1 / count
-        m_f = acc_f / count
-        m_fl = acc_fl / count
-        m_r12 = acc_r12 / per_group
-        deltas.append(m_t1 - (m_f * m_r12 + float(m_fl.sum())) / n)
-    deltas = np.asarray(deltas)
+    per_group = max(20, draws // tuples) // groups
+    batch = max(1, min(per_group, _BATCH_LEAVES // cascade.n_leaves))
+    deltas = np.empty(groups)
+    ratio = cascade.truncation_ratio
+    for g in range(groups):
+        sums = np.zeros(n + 2)
+        for done in range(0, per_group, batch):
+            part, r = _gg_sums(cascade, rng, min(batch, per_group - done),
+                               n, tuples, f)
+            sums += part
+            ratio = max(ratio, r)
+        m = sums / (per_group * tuples)
+        deltas[g] = m[0] - (m[1] * sums[2] / per_group + m[3:].sum()) / n
     return GGCheckResult(float(abs(deltas.mean())),
                          float(deltas.std(ddof=1) / np.sqrt(groups)),
-                         float(max(ratio, cascade.truncation_ratio)),
-                         int(n), groups * per_group * tuples)
+                         float(ratio), int(n), groups * per_group * tuples)
+
+
+def _gg_sums(cascade, rng, b, n, tuples, f):
+    """gg_check's sums over b fresh cascades with `tuples` replica n-tuples
+    each, [f B, f, R12, f R^{1,l} for l = 2..n], and the growth's ratio.
+    The mass sharing level k with a leaf is its level-k ancestor's, m_k,
+    so replica 1's conditional mean of R^{1,n+1} is B = sum_k dz_k m_k and
+    the cascade's E<R^{1,2}> is R12 = sum_k dz_k sum m_k^2, with
+    dz_k = zeta_k - zeta_{k-1}."""
+    zetas, n_max, K = cascade.zetas, cascade.n_max, cascade.K
+    logw, ratio = _grow_log_weights(zetas, n_max, rng, batch=b)
+    w = np.exp(logw, out=logw)
+    # node masses, levels 1..K; the level-K nodes are the leaves
+    mass = [w.reshape(b, n_max ** k, -1).sum(axis=2) for k in range(1, K)]
+    mass += [w] if K else []
+    picks = _pick_leaves(np.cumsum(w, axis=1), rng, tuples * n)
+    leaves = picks.T.reshape(b, tuples, n)
+    lv = _pair_levels(leaves[..., :, None], leaves[..., None, :], n_max, K)
+    rmat = np.concatenate([[0.0], zetas])[lv]
+    rmat[..., range(n), range(n)] = 1.0
+    fv = np.array([float(f(r)) for r in rmat.reshape(-1, n, n)])
+    fv = fv.reshape(b, tuples)
+    b1 = np.zeros((b, tuples))
+    r12 = 0.0
+    for k, (dz, m) in enumerate(zip(np.diff(zetas, prepend=0.0), mass)):
+        node = leaves[..., 0] // n_max ** (K - 1 - k)
+        b1 += dz * np.take_along_axis(m, node, axis=1)
+        r12 += dz * np.einsum("ij,ij->", m, m)
+    fl = np.einsum("ct,ctl->l", fv, rmat[..., 0, 1:])
+    return np.concatenate([[np.sum(fv * b1), fv.sum(), r12], fl]), ratio

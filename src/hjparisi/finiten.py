@@ -168,10 +168,7 @@ class _Session:
         N, D, K = self.N, self.D, self.K
         ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
         h_vals = ham.evaluate(self.x_flat)
-        if K > 0:
-            leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
-        else:
-            leaf_logw, ratio = np.zeros(1), 0.0
+        leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
         w_field = _leaf_field(self.roots, [
             rng.standard_normal((self.n_max ** level, D, N))
             for level in range(K + 1)])

@@ -352,12 +352,21 @@ _FAMILIES = {
 
 
 def load_model_dict(spec):
-    """Build (XiModel, ReferenceMeasure) from the JSON model schema."""
+    """Build (XiModel, ReferenceMeasure) from the JSON model schema.  A
+    missing field or a value of the wrong kind is a ValidationError."""
     try:
-        D = int(spec["D"])
-        entries = spec["terms"]
-    except (KeyError, TypeError) as exc:
+        return _model_from_spec(spec)
+    except ValidationError:
+        raise
+    except KeyError as exc:
         raise ValidationError(f"model spec missing field: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad model spec: {exc}") from exc
+
+
+def _model_from_spec(spec):
+    D = int(spec["D"])
+    entries = spec["terms"]
     terms = []
     for entry in entries:
         if "family" in entry:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cascade import _grow_log_weights
+from .cascade import _check_int, _check_seed, _grow_log_weights
 from .errors import BudgetExceeded, ValidationError
 from .paths import PiecewisePath, SignedPiecewisePath, sqrt_increments
 from .util import chunked_thread_map, logsumexp, node_rng
@@ -32,9 +32,9 @@ NODE_BUDGET = 10 ** 7
 class QuadratureSpec:
     """Gauss-Hermite tensor quadrature; optional MC fallback.
 
-    mc_fallback, when given, is a dict with keys "samples" and "seed"; it
-    is used when the full tensor grid would exceed NODE_BUDGET innermost
-    evaluations.
+    mc_fallback, when given, is a dict with keys "samples" and "seed"
+    (both optional); it is used when the full tensor grid would exceed
+    NODE_BUDGET innermost evaluations.
     """
     nodes_per_dim: int = 32
     mc_fallback: dict | None = None
@@ -42,13 +42,19 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_per_dim < 3:
             raise ValidationError("nodes_per_dim must be >= 3")
+        if self.mc_fallback is None:
+            return
+        if not set(self.mc_fallback) <= {"samples", "seed"}:
+            raise ValidationError("mc_fallback takes the keys 'samples' and "
+                                  f"'seed', got {list(self.mc_fallback)}")
         # _levels draws at least 8 nodes per level: fewer would be
         # reported but not used
-        if self.mc_fallback is not None:
-            samples = self.mc_fallback.get("samples", 10 ** 5)
-            if int(samples) < 8:
-                raise ValidationError(
-                    f"mc_fallback samples must be >= 8, got {samples!r}")
+        samples = self.mc_fallback.get("samples", 10 ** 5)
+        _check_int("mc_fallback samples", samples)
+        if samples < 8:
+            raise ValidationError(
+                f"mc_fallback samples must be >= 8, got {samples!r}")
+        _check_seed("mc_fallback seed", self.mc_fallback.get("seed", 0))
 
 
 @dataclass(frozen=True)
@@ -253,6 +259,9 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
     per-atom constants and scaled atoms); cascade weights come from the
     cascade module's sampler, and the estimate never runs the recursion.
     """
+    _check_int("n_max", n_max)
+    _check_int("samples", samples)
+    _check_seed("seed", seed)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     roots = sqrt_increments(q)
@@ -274,11 +283,8 @@ def psi_mc(P1, q, n_max, samples, seed, tilt=None, threads=None) -> PsiResult:
         done = 0
         while done < count:
             b = min(b_cap, count - done)
-            if K > 0:
-                logw, r = _grow_log_weights(zi, n_max, rng, batch=b)
-                ratio = max(ratio, r)
-            else:
-                logw = np.zeros((b, 1))
+            logw, r = _grow_log_weights(zi, n_max, rng, batch=b)
+            ratio = max(ratio, r)
             field = np.zeros((D, b, L))
             for l in range(K + 1):
                 n_l = n_max ** l

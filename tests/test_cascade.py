@@ -15,7 +15,13 @@ from hjparisi import (
     sample_cascade,
     sample_field,
 )
-from hjparisi.cascade import _grow_log_weights, _pair_levels
+from hjparisi import cascade
+from hjparisi.cascade import (
+    _gg_sums,
+    _grow_log_weights,
+    _pair_levels,
+    _pick_leaves,
+)
 from hjparisi.paths import path_new, sqrt_increments
 from hjparisi.util import node_rng
 
@@ -172,6 +178,20 @@ def test_sizes_must_be_integers():
     assert gg_check(c, one, np.int64(2), np.int64(20), 0).n == 2
 
 
+def test_seeds_must_be_non_negative_integers():
+    c = sample_cascade([0.5], n_max=4, seed=0)
+    cases = [
+        ("must be non-negative", lambda: sample_cascade([0.3], 4, -1)),
+        ("must be non-negative", lambda: sample_cascade([], 4, -1)),
+        ("must be an integer", lambda: sample_cascade([0.3], 4, 1.5)),
+        ("must be non-negative", lambda: overlap_level_law(c, 10, -2)),
+        ("must be non-negative", lambda: gg_check(c, len, 2, 20, -3)),
+    ]
+    for message, call in cases:
+        with pytest.raises(ValidationError, match=f"^seed {message}"):
+            call()
+
+
 @pytest.mark.parametrize("requested, sampled", [
     (20, 160), (400, 320), (2000, 1920), (4000, 4000)])
 def test_gg_check_reports_the_tuples_it_sampled(requested, sampled):
@@ -188,6 +208,64 @@ def test_level_law_batch_peaks_near_two_leaf_arrays(alloc_peak):
     law, peak = alloc_peak(overlap_level_law, c, 1000, 5)
     assert law.draws == 1000
     assert peak <= 2.5 * 1000 * c.n_leaves * 8
+
+
+def test_leaf_picks_follow_each_row_of_leaf_weights():
+    # 60,000 inverse-CDF picks from each of two K=1, n_max=6 cascades;
+    # 20.515 is the 99.9% point of chi-square with 5 degrees of freedom
+    logw, _ = _grow_log_weights(np.array([0.6]), 6, node_rng(17, 0), batch=2)
+    w = np.exp(logw)
+    picks = _pick_leaves(np.cumsum(w, axis=1), node_rng(18, 0), 60000)
+    assert picks.shape == (60000, 2)
+    for row in range(2):
+        counts = np.bincount(picks[:, row], minlength=6)
+        expected = 60000 * w[row]
+        assert np.sum((counts - expected) ** 2 / expected) <= 20.515
+
+
+def test_gg_sums_match_a_loop_over_cascades_and_tuples():
+    # reference: every leaf's level shares spelled out per cascade, and
+    # one overlap matrix per tuple; the batched sums add in another order
+    c = sample_cascade([0.2, 0.5, 0.7], n_max=4, seed=1)
+    n, tuples, b, K, L = 3, 8, 5, c.K, c.n_leaves
+
+    def f(r):
+        return r[0, 1] + r[1, 2] ** 2
+
+    sums, ratio = _gg_sums(c, node_rng(9, 3), b, n, tuples, f)
+    rng = node_rng(9, 3)
+    logw, want_ratio = _grow_log_weights(c.zetas, 4, rng, batch=b)
+    w = np.exp(logw)
+    picks = _pick_leaves(np.cumsum(w, axis=1), rng, tuples * n)
+    zet = np.concatenate([[0.0], c.zetas])
+    want = np.zeros(n + 2)
+    for i in range(b):
+        share = np.zeros((K + 2, L))
+        share[0] = 1.0
+        for j in range(1, K + 1):
+            share[j] = np.repeat(w[i].reshape(4 ** j, -1).sum(axis=1),
+                                 L // 4 ** j)
+        exact = share[:-1] - share[1:]      # P(level = k | leaf)
+        want[2] += zet @ exact @ w[i]
+        for t in range(tuples):
+            leaves = picks[t * n:(t + 1) * n, i]
+            rmat = zet[_pair_levels(leaves[:, None], leaves[None, :], 4, K)]
+            np.fill_diagonal(rmat, 1.0)
+            want += f(rmat) * np.concatenate(
+                [[(zet @ exact)[leaves[0]], 1.0, 0.0], rmat[0, 1:]])
+    np.testing.assert_allclose(sums, want, rtol=1e-12, atol=0.0)
+    assert ratio == want_ratio
+
+
+def test_gg_check_batches_peak_near_two_leaf_arrays(alloc_peak, monkeypatch):
+    # 8000 draws are 20 groups of 50 cascades; a cap of 20 cascades per
+    # batch makes each group grow three batches, and a batch holds its
+    # leaf weights and their cumulative sums, as the growth's peak does
+    c = sample_cascade([0.2, 0.4], n_max=64, seed=3)
+    monkeypatch.setattr(cascade, "_BATCH_LEAVES", 20 * c.n_leaves)
+    res, peak = alloc_peak(gg_check, c, lambda r: r[0, 1], 3, 8000, 5)
+    assert res.draws == 8000
+    assert peak <= 2.5 * 20 * c.n_leaves * 8
 
 
 # Sampler outputs as exact bytes, taken at commit f4bacbc, before the
@@ -240,12 +318,36 @@ def test_overlap_level_law_is_pinned(name):
 
 
 def test_gg_check_is_pinned():
+    # Not from f4bacbc: taken once gg_check grew each group's cascades in
+    # batches and picked replicas by inverse CDF, which draws other
+    # numbers than the per-cascade growth and Gumbel pick before it, and
+    # after gate 7 and the pick's chi-square test passed on the new draws.
     c = sample_cascade([0.25, 0.5], n_max=12, seed=7)
     res = gg_check(c, lambda r: r[0, 1] ** 2, n=3, draws=200, seed=11)
     assert (res.residual.hex(), res.stderr.hex(),
             res.truncation_bias.hex()) == (
-        "0x1.aae79349bdf2dp-9", "0x1.092aadded02c4p-10",
-        "0x1.20868e7e176afp-5")
+        "0x1.b29106dcf3325p-9", "0x1.b582af95656dap-11",
+        "0x1.7bdaf42f077e4p-6")
+
+
+# Depth-0 outputs as exact bytes, taken at commit d58a979, where each
+# depth-0 sampler skipped the growth and used a single unit-weight leaf.
+
+def test_depth_zero_samplers_are_pinned():
+    c = sample_cascade([], 5, 3)
+    assert (_digest(c.log_leaf_weights), c.truncation_ratio.hex()) == (
+        "af5570f5a1810b7a", "0x0.0p+0")
+    res = gg_check(c, lambda r: r[0, 1] ** 2 + 0.5 * r[1, 2], n=3,
+                   draws=200, seed=11)
+    assert (res.residual.hex(), res.stderr.hex(), res.truncation_bias.hex(),
+            res.draws) == ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", 160)
+    p1 = ReferenceMeasure([[1.0], [-1.0]], [0.5, 0.5])
+    q = path_new([0.0], [[[0.3]]])
+    for threads in (1, 2):
+        r = psi_mc(p1, q, n_max=5, samples=300, seed=3, threads=threads)
+        assert (r.value.hex(), r.error_estimate.hex(),
+                r.truncation_ratio.hex()) == (
+            "0x1.c241d5f854ad2p-5", "0x1.22b6371686ef1p-6", "0x0.0p+0")
 
 
 @pytest.mark.parametrize("D", [1, 2])

@@ -537,3 +537,24 @@ def test_psi_rejects_fewer_than_eight_mc_samples(files, capsys):
     code, out, _ = run_cli(args + ["8"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["mc_samples"] == 8
+
+
+BAD_MODELS = {
+    "D NaN": {"D": float("nan"), "terms": [{"family": "sk"}]},
+    "p NaN": {"D": 1, "terms": [{"p": float("nan"), "C": [[1.0]]}]},
+    "beta text": {"D": 1, "terms": [{"family": "sk", "beta": "x"}]},
+    "term without C": {"D": 1, "terms": [{"p": 2}]},
+    "atoms without weights": {"D": 1, "terms": [{"family": "sk"}],
+                              "P1": {"atoms": [[1.0], [-1.0]]}},
+    "terms not a list": {"D": 1, "terms": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODELS))
+def test_bad_model_specs_are_validation_errors(tmp_path, capsys, name):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(BAD_MODELS[name]))
+    code, out, err = run_cli(["model", "check", "--model", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")

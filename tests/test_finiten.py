@@ -396,6 +396,24 @@ def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
             run()
 
 
+# free_energy_mc on a depth-0 path, taken at commit d58a979, where a
+# depth-0 draw skipped the growth and used a single unit-weight leaf
+PINNED_FE_FLAT = {   # t_hat: (mean, stderr, truncation_ratio)
+    0.0: ("0x1.b2dc7a61fc36dp-5", "0x1.16ed2a4f4d403p-5", "0x0.0p+0"),
+    0.05: ("0x1.5ca64f0aaab12p-5", "0x1.39efaa99b51bcp-5", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_free_energy_on_a_flat_path_is_pinned(threads):
+    q0 = scalar_path([0.0], [0.3])
+    for t_hat, want in PINNED_FE_FLAT.items():
+        est = free_energy_mc(sk(1.0), P1, 4, 0.1, q0, t_hat, 40, 5, seed=7,
+                             threads=threads)
+        got = (est.mean, est.stderr, float(est.truncation_ratio))
+        assert tuple(v.hex() for v in got) == want
+
+
 def test_a_flat_path_runs_at_any_integer_truncation():
     # a depth-0 path has one leaf, so n_max plays no part
     q0 = scalar_path([0.0], [0.2])

@@ -88,6 +88,13 @@ def test_psi_mc_deterministic_and_validated():
         psi_mc(P1, q, n_max=32, samples=1, seed=2)
     with pytest.raises(ValidationError):
         psi_mc(P1, q, n_max=1, samples=100, seed=2)
+    # sizes and the seed are checked before any draw
+    for kwargs, message in (
+            (dict(n_max=4.0, samples=100, seed=2), "^n_max must be an integer"),
+            (dict(n_max=4, samples=8.0, seed=2), "^samples must be an integer"),
+            (dict(n_max=4, samples=100, seed=-1), "^seed must be non-negative")):
+        with pytest.raises(ValidationError, match=message):
+            psi_mc(P1, q, **kwargs)
 
 
 def test_psi_mc_value_is_kept_on_a_tilted_depth_two_instance():
@@ -150,6 +157,22 @@ def test_mc_fallback_below_eight_samples_is_rejected(samples):
     with pytest.raises(ValidationError, match="mc_fallback samples"):
         QuadratureSpec(mc_fallback={"samples": samples, "seed": 0})
     QuadratureSpec(mc_fallback={"samples": 8, "seed": 0})
+
+
+@pytest.mark.parametrize("fallback, message", [
+    ({"sample": 50}, "keys 'samples' and 'seed'"),
+    ({"samples": 50, "seed": 3, "threads": 2}, "keys 'samples' and 'seed'"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"samples": 50, "seed": 1.5}, "seed must be an integer"),
+    ({"samples": 50, "seed": True}, "seed must be an integer"),
+    ({"samples": 50.5}, "samples must be an integer"),
+])
+def test_mc_fallback_is_checked_when_built(fallback, message):
+    # a misspelt key would otherwise run silently with 10^5 samples
+    with pytest.raises(ValidationError, match=message):
+        QuadratureSpec(mc_fallback=fallback)
+    QuadratureSpec(mc_fallback={"samples": 50})
+    QuadratureSpec(mc_fallback={"seed": np.int64(3)})
 
 
 def test_psi_grad_single_block_analytic():
