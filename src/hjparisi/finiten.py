@@ -7,10 +7,11 @@ the only randomness is the disorder, the truncated cascade, its field,
 and the optional coupling perturbation; every inner sum is exact.  One
 sample loop draws it from streams keyed by the seed alone, so equal seeds
 give common random numbers, and applies a per-sample statistic to each
-draw: `identity_checks` reads all it compares from one pass per path, and
-every estimator reports the largest truncation ratio drawn.  Each chunk of
-draws assembles its exponents and takes log Z in work buffers of its own,
-so a sample allocates no config-by-leaf temporary beyond its field term.
+draw: `identity_checks` reads all it compares, on every compared path,
+from one pass, and every estimator reports the largest truncation ratio
+drawn.  Each chunk of draws assembles its exponents and takes log Z in
+work buffers of its own, so a sample allocates no config-by-leaf
+temporary beyond its field terms.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cascade import _check_int, _grow_log_weights, _leaf_field
+from .cascade import _check_int, _check_seed, _grow_log_weights, _leaf_field
 from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval, xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
@@ -38,6 +39,7 @@ PAIR_BUDGET = 1 << 26
 
 
 def _check_size(model, N):
+    _check_int("N", N)
     if N < 1:
         raise ValidationError("N must be >= 1")
     cap = 14 if model.D == 1 else 7
@@ -75,6 +77,15 @@ class DisorderSample:
         return out
 
 
+def _check_run(model, N, samples, seed):
+    """Every estimator's checks of its integers, made before any work."""
+    _check_size(model, N)
+    _check_int("samples", samples)
+    if samples < 2:
+        raise ValidationError("samples must be >= 2")
+    _check_seed("seed", seed)
+
+
 def _interleave(j, p, N, D):
     """(N^p, D^p) coefficient block -> ((DN,)*p) with index d*N+i."""
     t = j.reshape((N,) * p + (D,) * p)
@@ -89,6 +100,7 @@ def sample_hamiltonian(model, N, seed) -> DisorderSample:
     covariance given by the model's coefficient matrices, drawn with
     their square roots model.factors."""
     _check_size(model, N)
+    _check_seed("seed", seed)
     rng = node_rng(seed, 10)
     D = model.D
     terms = []
@@ -128,31 +140,33 @@ _Draw = namedtuple("_Draw", "h_vals leaf_logw cross hat_vals ratio")
 
 
 class _Session:
-    """Static per-run data shared by every disorder sample."""
+    """Static per-run data shared by every disorder sample, for compared
+    paths of one partition: each path's roots scale one draw's field."""
 
-    def __init__(self, model, P1, N, q, n_max):
-        _check_size(model, N)
-        if q.D != model.D:
+    def __init__(self, model, P1, N, paths, n_max):
+        if any(q.D != model.D for q in paths):
             raise ValidationError("path and model dimensions differ")
+        K = paths[0].K
         # as sample_cascade: a depth-0 path has one leaf whatever n_max is
         _check_int("n_max", n_max)
-        if q.K > 0 and n_max < 2:
+        if K > 0 and n_max < 2:
             raise ValidationError("n_max must be at least 2")
-        self.model, self.N, self.q, self.n_max = model, N, q, int(n_max)
+        self.model, self.N, self.n_max = model, N, int(n_max)
         self.x_flat, self.x3, self.logw_cfg = _enumerate_configs(P1, N)
         self.n_cfg = len(self.x_flat)
         self.D = model.D
-        self.K = q.K
-        self.L = self.n_max ** self.K
-        if self.n_cfg * self.L > PAIR_BUDGET:
+        self.K, self.L = K, self.n_max ** K
+        # a draw holds one (n_cfg, L) field term per path
+        if len(paths) * self.n_cfg * self.L > PAIR_BUDGET:
             raise BudgetExceeded("config x leaf grid exceeds the budget; "
                                  "reduce N, n_max, or the path depth")
-        self.roots = sqrt_increments(q)
-        self.zi = q.zetas[1:]
+        self.roots = [sqrt_increments(q) for q in paths]
+        self.zi = paths[0].zetas[1:]
         gram = np.einsum("cdn,cen->cde", self.x3, self.x3)
         self.overlap_self = gram / N
         self.xi_self = xi_eval_batch(model, self.overlap_self)
-        self.qk_term = np.einsum("cde,de->c", gram, q.final_value)
+        self.qk_term = [np.einsum("cde,de->c", gram, q.final_value)
+                        for q in paths]
         self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
                                  self.overlap_self)
 
@@ -163,32 +177,33 @@ class _Session:
     def draw(self, rng):
         """The parts of one draw of all randomness: Hamiltonian values per
         config, leaf log-weights, the config-leaf field term (scaled by
-        sqrt 2), the coupling perturbation per config, and the cascade's
-        truncation ratio."""
+        sqrt 2) of each path, the coupling perturbation per config, and
+        the cascade's truncation ratio."""
         N, D, K = self.N, self.D, self.K
         ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
         h_vals = ham.evaluate(self.x_flat)
         leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
-        w_field = _leaf_field(self.roots, [
-            rng.standard_normal((self.n_max ** level, D, N))
-            for level in range(K + 1)])
-        cross = self.x_flat @ w_field.reshape(self.L, D * N).T  # (n_cfg, L)
-        cross *= np.sqrt(2.0)
+        zs = [rng.standard_normal((self.n_max ** level, D, N))
+              for level in range(K + 1)]
+        cross = [self.x_flat @ _leaf_field(roots, zs).reshape(self.L, -1).T
+                 for roots in self.roots]                 # (n_cfg, L) each
+        for term in cross:
+            term *= np.sqrt(2.0)
         # sum_d x_cd^T W x_cd: one BLAS product, then a dot per config
         w_hat = rng.standard_normal((N, N))
         xw = (self.x3.reshape(-1, N) @ w_hat).reshape(self.n_cfg, D * N)
         hat_vals = np.einsum("ci,ci->c", self.x_flat, xw) / np.sqrt(N)
         return _Draw(h_vals, leaf_logw, cross, hat_vals, ratio)
 
-    def assemble(self, parts, t, t_hat, out):
-        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat), written
-        into out."""
+    def assemble(self, parts, path, t, t_hat, out):
+        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat) on the
+        path of index `path`, written into out."""
         base = (self.logw_cfg + np.sqrt(2.0 * t) * parts.h_vals
-                - t * self.N * self.xi_self - self.qk_term
+                - t * self.N * self.xi_self - self.qk_term[path]
                 - t_hat * self.N * self.sq_self
                 + np.sqrt(2.0 * t_hat) * parts.hat_vals)
         np.add(base[:, None], parts.leaf_logw[None, :], out=out)
-        out += parts.cross
+        out += parts.cross[path]
         return out
 
 
@@ -208,14 +223,6 @@ def _gibbs_weights(expo, out):
     np.subtract(expo, lz, out=out)
     np.exp(out, out=out)
     return lz
-
-
-def _log_z_stat(session, t, t_hat):
-    """Statistic factory for _crn_samples: log Z of a draw at (t, t_hat)."""
-    def make_stat():
-        expo = session.buffer()
-        return lambda parts: _log_z(session.assemble(parts, t, t_hat, expo))
-    return make_stat
 
 
 def _crn_samples(session, make_stat, samples, seed, threads):
@@ -251,11 +258,14 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     exact.
     """
     check_times(t, t_hat)
-    if samples < 2:
-        raise ValidationError("samples must be >= 2")
-    session = _Session(model, P1, N, q, n_max)
-    logz, ratio = _crn_samples(session, _log_z_stat(session, t, t_hat),
-                               samples, seed, threads)
+    _check_run(model, N, samples, seed)
+    session = _Session(model, P1, N, [q], n_max)
+
+    def make_stat():
+        expo = session.buffer()
+        return lambda p: _log_z(session.assemble(p, 0, t, t_hat, expo))
+
+    logz, ratio = _crn_samples(session, make_stat, samples, seed, threads)
     vals = -np.array(logz) / N
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / np.sqrt(samples)),
@@ -287,15 +297,13 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     matmul per level and is opt-in.
     """
     check_times(t, t_hat)
-    if samples < 2:
-        raise ValidationError("samples must be >= 2")
+    _check_run(model, N, samples, seed)
     if with_histogram:
         if model.D != 1:
             raise ValidationError("overlap histogram is only kept for D=1")
-        _check_size(model, N)
         if len(P1.atoms) ** (2 * N) > PAIR_BUDGET:
             raise BudgetExceeded("configuration pair grid exceeds the budget")
-    session = _Session(model, P1, N, q, n_max)
+    session = _Session(model, P1, N, [q], n_max)
     K, D, n_cfg, N_sp = session.K, session.D, session.n_cfg, session.N
     if with_histogram:
         r_pair = (session.x_flat @ session.x_flat.T) / N_sp
@@ -308,7 +316,7 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
             pair_bufs = np.empty((2, n_cfg, n_cfg))
 
         def stat(parts):
-            _gibbs_weights(session.assemble(parts, t, t_hat, expo), g)
+            _gibbs_weights(session.assemble(parts, 0, t, t_hat, expo), g)
             # tier sums: per node at level j, total mass and spin vector
             share_mass = np.zeros(K + 2)
             share_mom = np.zeros((K + 2, D, D))
@@ -378,7 +386,7 @@ class CheckResult:
 @dataclass(frozen=True)
 class IdentityReport:
     checks: dict
-    truncation_ratio: float = 0.0   # largest over the three sessions
+    truncation_ratio: float = 0.0   # largest over the one pass's draws
 
     @property
     def all_passed(self):
@@ -405,55 +413,47 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     """Finite-size identities: Lipschitz bound, t-derivative identity,
     dual-cone monotonicity, and the initial condition.
 
-    All comparisons reuse common random numbers across the compared
-    parameter values, so the Monte Carlo error of each difference is the
-    per-sample spread of the difference itself; each path's session is
-    drawn in one pass.  Every session truncates its cascade at n_max
+    The compared paths q, 0.85 q and 0.7 q share q's partition, so one
+    session serves all three and one pass reads every compared value from
+    the same draws: common random numbers across the compared parameter
+    values, so the Monte Carlo error of each difference is the per-sample
+    spread of the difference itself.  The cascade is truncated at n_max
     atoms per node.
     """
     check_times(t)
-    if samples < 2:
-        raise ValidationError("samples must be >= 2")
+    _check_run(model, N, samples, seed)
     # check (d)'s psi first: past the quadrature budget, fail before sampling
     psi = psi_eval(P1, q, QuadratureSpec()).value
-    session = _Session(model, P1, N, q, n_max)
     h = 0.02 * max(t, 0.25)
     t_lo = max(t - h, 0.0)
+    q_alt = q.with_values([0.85 * v for v in q.values])
+    t_alt = t + 0.05
+    q_lo = q.with_values([0.7 * v for v in q.values])
+    session = _Session(model, P1, N, [q, q_alt, q_lo], n_max)
 
-    ratios = []
-
-    def crn(sess, make_stat):
-        vals, ratio = _crn_samples(sess, make_stat, samples, seed, threads)
-        ratios.append(ratio)
-        return np.array(vals)
-
-    def log_z(sess, s):
-        return crn(sess, _log_z_stat(sess, s, 0.0))
-
-    def make_main_stat():
+    def make_stat():
         expo, g = session.buffer(), session.buffer()
 
-        def main_stat(parts):
-            # log Z at t, t_lo, t + h and 0, then the Gibbs xi moment at t:
-            # replicas are conditionally independent given the randomness,
-            # so the pair expectation factors through the config marginals
-            lz_t = _gibbs_weights(session.assemble(parts, t, 0.0, expo), g)
+        def stat(parts):
+            # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
+            # q_lo at t, then the Gibbs xi moment on q at t: replicas are
+            # conditionally independent given the randomness, so the pair
+            # expectation factors through the config marginals
+            lz_t = _gibbs_weights(session.assemble(parts, 0, t, 0.0, expo), g)
             gibbs = _xi_pair_moment(session, g.sum(axis=1))
-            lz = [_log_z(session.assemble(parts, s, 0.0, expo))
-                  for s in (t_lo, t + h, 0.0)]
+            lz = [_log_z(session.assemble(parts, path, s, 0.0, expo))
+                  for path, s in ((0, t_lo), (0, t + h), (0, 0.0),
+                                  (1, t_alt), (2, t))]
             return [lz_t, *lz, gibbs]
 
-        return main_stat
+        return stat
 
-    lz_t, lz_down, lz_up, lz0, gibbs = crn(session, make_main_stat).T
-    lz, lz0 = lz_t / N, lz0 / N
+    vals, ratio = _crn_samples(session, make_stat, samples, seed, threads)
+    lz_t, lz_down, lz_up, lz0, lz_alt, lz_lo, gibbs = np.array(vals).T
+    lz, lz0, lz_alt, lz_lo = lz_t / N, lz0 / N, lz_alt / N, lz_lo / N
     checks = {}
 
     # (a) Lipschitz in (t, q)
-    q_alt = q.with_values([0.85 * v for v in q.values])
-    t_alt = t + 0.05
-    session_alt = _Session(model, P1, N, q_alt, n_max)
-    lz_alt = log_z(session_alt, t_alt) / N
     diff = -(lz.mean() - lz_alt.mean())
     sig = float((lz - lz_alt).std(ddof=1) / np.sqrt(samples))
     bound = lp_distance(q, q_alt, 1) + abs(t - t_alt) * _xi_sup_unit(model)
@@ -469,9 +469,6 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
                                         lhs, rhs, sig)
 
     # (c) monotonicity along the dual cone
-    q_lo = q.with_values([0.7 * v for v in q.values])
-    session_lo = _Session(model, P1, N, q_lo, n_max)
-    lz_lo = log_z(session_lo, t) / N
     dmono = -(lz.mean() - lz_lo.mean())
     sig = float((lz - lz_lo).std(ddof=1) / np.sqrt(samples))
     checks["monotone"] = CheckResult(dmono >= -3 * sig, dmono, 0.0, sig,
@@ -481,7 +478,7 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     sig = float(lz0.std(ddof=1) / np.sqrt(samples))
     checks["initial"] = CheckResult(abs(-lz0.mean() - psi) <= 3 * sig,
                                     float(-lz0.mean()), psi, sig)
-    return IdentityReport(checks, max(ratios))
+    return IdentityReport(checks, ratio)
 
 
 def _xi_pair_moment(session, g):

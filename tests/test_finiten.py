@@ -52,6 +52,9 @@ def test_hamiltonian_size_guard():
         sample_hamiltonian(sk(1.0), 15, 0)
     with pytest.raises(ValidationError):
         sample_hamiltonian(sk(1.0), 0, 0)
+    for N, seed in ((2.5, 0), (True, 0), (3, -1), (3, 2.5), (3, True)):
+        with pytest.raises(ValidationError, match="^(N|seed) must be"):
+            sample_hamiltonian(sk(1.0), N, seed)
 
 
 def test_free_energy_matches_psi_at_t_zero():
@@ -163,8 +166,8 @@ def test_identity_checks_pass_on_small_instance():
 
 
 def test_identity_checks_draw_each_session_once(monkeypatch):
-    # one pass over the main session serves checks (a), (b) and (d); the
-    # shifted and lowered paths take one pass each
+    # the shifted and lowered paths share q's partition, so one session
+    # and one pass of `samples` draws serve all four checks
     calls = []
     draw = finiten._Session.draw
 
@@ -175,8 +178,8 @@ def test_identity_checks_draw_each_session_once(monkeypatch):
     monkeypatch.setattr(finiten._Session, "draw", counted)
     identity_checks(sk(1.0), P1, N=3, t=0.1, q=Q2, samples=20, seed=2,
                     n_max=8)
-    assert len(calls) == 3 * 20
-    assert len(set(map(id, calls))) == 3
+    assert len(calls) == 20
+    assert len(set(map(id, calls))) == 1
 
 
 def test_truncation_ratio_is_reported_and_thread_invariant():
@@ -191,7 +194,7 @@ def test_truncation_ratio_is_reported_and_thread_invariant():
               for threads in (1, 2)]
     assert ratios[0] > 0.0
     assert ratios == [ratios[0]] * 4
-    # identity_checks' three sessions share the cascade levels, so their
+    # identity_checks draws the same cascades for its three paths, so its
     # largest ratio is the one the same draws gave above
     report = identity_checks(sk(1.0), P1, 3, 0.1, Q2, 40, seed=5, n_max=8)
     assert report.truncation_ratio == ratios[0]
@@ -227,6 +230,36 @@ def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
     with pytest.raises(BudgetExceeded):
         identity_checks(frobenius_square(1.0, 2), ising_measure(2), N=2,
                         t=0.1, q=q, samples=20, seed=0, n_max=4)
+    # 2^14 configs x 4096 leaves fit the pair budget once, but a draw
+    # holds the field term of each of the three compared paths
+    with pytest.raises(BudgetExceeded, match="leaf grid"):
+        identity_checks(sk(1.0), P1, N=14, t=0.1, q=Q2, samples=4, seed=0,
+                        n_max=4096)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("seed", 2.5), ("seed", True),
+    ("samples", 8.5), ("samples", 3.0), ("samples", True),
+    ("N", 2.5), ("N", True)])
+@pytest.mark.parametrize("estimator", ["fe", "law", "checks"])
+def test_estimators_reject_a_non_integer_count_or_seed_before_any_work(
+        monkeypatch, estimator, name, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the integer check")
+
+    monkeypatch.setattr(finiten, "_Session", no_work)
+    monkeypatch.setattr(finiten, "psi_eval", no_work)
+    args = dict(N=3, samples=8, seed=0) | {name: value}
+    run = {
+        "fe": lambda: free_energy_mc(sk(1.0), P1, t=0.1, q=Q2, t_hat=0.0,
+                                     n_max=8, **args),
+        "law": lambda: gibbs_overlap_law(sk(1.0), P1, t=0.1, q=Q2,
+                                         t_hat=0.0, n_max=8, **args),
+        "checks": lambda: identity_checks(sk(1.0), P1, t=0.1, q=Q2,
+                                          n_max=8, **args),
+    }[estimator]
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        run()
 
 
 def test_identity_check_fields_are_plain_floats():
@@ -328,6 +361,30 @@ def test_overlap_law_histogram_matches_pinned_values(threads):
                    truncation_ratio=law.truncation_ratio)
         for key, value in want.items():
             _assert_pinned(got[key], value, t_hat)
+
+
+# identity_checks on a D=2 instance, taken at commit 9421900, where each
+# of the three compared paths had a session and a pass of its own
+PINNED_CHECKS_D2 = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=8, seed 2
+    "lipschitz": (True, "0x1.abd7916c01760p-7", "0x1.6c1b31e94e076p-4",
+                  "0x1.72f19d478e059p-8"),
+    "dt_identity": (True, "0x1.b467406c81662p-2", "0x1.733fcf55169e3p-2",
+                    "0x1.baf1d709c23cdp-4"),
+    "monotone": (True, "0x1.f49d41bc97780p-7", "0x0.0p+0",
+                 "0x1.25f7c4a05a93cp-8"),
+    "initial": (True, "0x1.562622ca2a6a0p-5", "0x1.14cf85bde9148p-6",
+                "0x1.f3bd337239a66p-7"),
+}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_identity_checks_on_a_d2_instance_are_pinned(threads):
+    report = identity_checks(frobenius_square(1.0, 2), ising_measure(2), 3,
+                             0.1, QD2, 40, seed=2, n_max=8, threads=threads)
+    got = {name: (c.passed, c.lhs.hex(), c.rhs.hex(), c.sigma.hex())
+           for name, c in report.checks.items()}
+    assert got == PINNED_CHECKS_D2
+    assert report.truncation_ratio.hex() == "0x1.0a7895491fe95p-4"
 
 
 @pytest.mark.parametrize("threads", (1, 2))
