@@ -9,9 +9,11 @@ sample loop draws it from streams keyed by the seed alone, so equal seeds
 give common random numbers, and applies a per-sample statistic to each
 draw: `identity_checks` reads all it compares, on every compared path,
 from one pass, and every estimator reports the largest truncation ratio
-drawn.  Each chunk of draws assembles its exponents and takes log Z in
-work buffers of its own, so a sample allocates no config-by-leaf
-temporary beyond its field terms.
+drawn.  A draw keeps, per compared path, a leaf factor [sqrt(2) field ;
+leaf log-weights ; 1] of D*N + 2 rows; each chunk of draws owns a config
+factor [configs, 1, config terms] and an exponent buffer, so one matrix
+product builds each config-by-leaf exponent matrix and a sample allocates
+no config-by-leaf array.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .cascade import _check_int, _check_seed, _grow_log_weights, _leaf_field
 from .errors import BudgetExceeded, ValidationError
-from .model import xi_eval, xi_eval_batch
+from .model import xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
 from .paths import lp_distance, sqrt_increments
 from .util import check_times, chunked_thread_map, node_rng
@@ -136,7 +138,7 @@ class McEstimate:
     truncation_ratio: float = 0.0
 
 
-_Draw = namedtuple("_Draw", "h_vals leaf_logw cross hat_vals ratio")
+_Draw = namedtuple("_Draw", "h_vals factors w_hat ratio")
 
 
 class _Session:
@@ -156,7 +158,8 @@ class _Session:
         self.n_cfg = len(self.x_flat)
         self.D = model.D
         self.K, self.L = K, self.n_max ** K
-        # a draw holds one (n_cfg, L) field term per path
+        # counts one (n_cfg, L) grid per compared path, although a draw
+        # holds only a (D*N + 2, L) factor per path and a chunk one grid
         if len(paths) * self.n_cfg * self.L > PAIR_BUDGET:
             raise BudgetExceeded("config x leaf grid exceeds the budget; "
                                  "reduce N, n_max, or the path depth")
@@ -170,59 +173,64 @@ class _Session:
         self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
                                  self.overlap_self)
 
-    def buffer(self):
-        """An uninitialised (n_cfg, L) work buffer."""
-        return np.empty((self.n_cfg, self.L))
+    def buffers(self):
+        """A chunk's own work buffers: the config factor [x_flat, 1, base]
+        of shape (n_cfg, D*N + 2), whose last column assemble rewrites, and
+        an uninitialised (n_cfg, L) exponent matrix."""
+        return (np.hstack([self.x_flat, np.ones((self.n_cfg, 2))]),
+                np.empty((self.n_cfg, self.L)))
 
     def draw(self, rng):
         """The parts of one draw of all randomness: Hamiltonian values per
-        config, leaf log-weights, the config-leaf field term (scaled by
-        sqrt 2) of each path, the coupling perturbation per config, and
-        the cascade's truncation ratio."""
+        config, each path's leaf factor [sqrt(2) F^T ; leaf_logw ; 1] of
+        shape (D*N + 2, L), with F the (L, D*N) field at the leaves, the
+        coupling perturbation's matrix and the cascade's truncation
+        ratio."""
         N, D, K = self.N, self.D, self.K
         ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
         h_vals = ham.evaluate(self.x_flat)
         leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
         zs = [rng.standard_normal((self.n_max ** level, D, N))
               for level in range(K + 1)]
-        cross = [self.x_flat @ _leaf_field(roots, zs).reshape(self.L, -1).T
-                 for roots in self.roots]                 # (n_cfg, L) each
-        for term in cross:
-            term *= np.sqrt(2.0)
-        # sum_d x_cd^T W x_cd: one BLAS product, then a dot per config
+        factors = []
+        for roots in self.roots:
+            field = _leaf_field(roots, zs).reshape(self.L, -1)
+            factors.append(np.vstack([np.sqrt(2.0) * field.T, leaf_logw,
+                                      np.ones(self.L)]))
         w_hat = rng.standard_normal((N, N))
-        xw = (self.x3.reshape(-1, N) @ w_hat).reshape(self.n_cfg, D * N)
-        hat_vals = np.einsum("ci,ci->c", self.x_flat, xw) / np.sqrt(N)
-        return _Draw(h_vals, leaf_logw, cross, hat_vals, ratio)
+        return _Draw(h_vals, factors, w_hat, ratio)
 
-    def assemble(self, parts, path, t, t_hat, out):
+    def assemble(self, parts, path, t, t_hat, bufs):
         """Exponent matrix (n_cfg, L) of one draw at (t, t_hat) on the
-        path of index `path`, written into out."""
+        path of index `path`, written into the exponent buffer of bufs:
+        the config terms fill the config factor's last column and one
+        product with the path's leaf factor adds them to the field and
+        leaf terms."""
+        xaug, expo = bufs
         base = (self.logw_cfg + np.sqrt(2.0 * t) * parts.h_vals
-                - t * self.N * self.xi_self - self.qk_term[path]
-                - t_hat * self.N * self.sq_self
-                + np.sqrt(2.0 * t_hat) * parts.hat_vals)
-        np.add(base[:, None], parts.leaf_logw[None, :], out=out)
-        out += parts.cross[path]
-        return out
+                - t * self.N * self.xi_self - self.qk_term[path])
+        if t_hat > 0:
+            # sum_d x_cd^T W x_cd: one BLAS product, then a dot per config
+            N = self.N
+            xw = (self.x3.reshape(-1, N) @ parts.w_hat).reshape(self.n_cfg, -1)
+            hat_vals = np.einsum("ci,ci->c", self.x_flat, xw) / np.sqrt(N)
+            base -= t_hat * N * self.sq_self
+            base += np.sqrt(2.0 * t_hat) * hat_vals
+        xaug[:, -1] = base
+        return np.matmul(xaug, parts.factors[path], out=expo)
 
 
-def _log_z(expo, work=None):
-    """log sum exp of all entries of expo.  exp(expo - max) is left in
-    work, which is expo itself by default."""
-    work = expo if work is None else work
+def _log_z(expo, normalize=False):
+    """log sum exp of all entries of expo, computed in place: expo is left
+    holding exp(expo - max), or with normalize the Gibbs weights
+    exp(expo - log Z)."""
     m = expo.max()
-    np.subtract(expo, m, out=work)
-    np.exp(work, out=work)
-    return float(np.log(work.sum()) + m)
-
-
-def _gibbs_weights(expo, out):
-    """Gibbs weights exp(expo - log Z) into out (not expo); returns log Z."""
-    lz = _log_z(expo, out)
-    np.subtract(expo, lz, out=out)
-    np.exp(out, out=out)
-    return lz
+    expo -= m
+    np.exp(expo, out=expo)
+    total = expo.sum()
+    if normalize:
+        expo *= 1.0 / total
+    return float(np.log(total) + m)
 
 
 def _crn_samples(session, make_stat, samples, seed, threads):
@@ -262,8 +270,8 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     session = _Session(model, P1, N, [q], n_max)
 
     def make_stat():
-        expo = session.buffer()
-        return lambda p: _log_z(session.assemble(p, 0, t, t_hat, expo))
+        bufs = session.buffers()
+        return lambda p: _log_z(session.assemble(p, 0, t, t_hat, bufs))
 
     logz, ratio = _crn_samples(session, make_stat, samples, seed, threads)
     vals = -np.array(logz) / N
@@ -311,12 +319,13 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
         r_index = np.searchsorted(r_values, np.round(r_pair, 12)).ravel()
 
     def make_stat():
-        expo, g = session.buffer(), session.buffer()
+        bufs = session.buffers()
         if with_histogram:
             pair_bufs = np.empty((2, n_cfg, n_cfg))
 
         def stat(parts):
-            _gibbs_weights(session.assemble(parts, 0, t, t_hat, expo), g)
+            g = session.assemble(parts, 0, t, t_hat, bufs)
+            _log_z(g, normalize=True)
             # tier sums: per node at level j, total mass and spin vector
             share_mass = np.zeros(K + 2)
             share_mom = np.zeros((K + 2, D, D))
@@ -396,16 +405,12 @@ class IdentityReport:
 def _xi_sup_unit(model, samples=400, seed=0):
     """sup of xi over the PSD Frobenius unit ball (attained on the
     boundary by convexity of the polynomial in the radial direction)."""
-    rng = node_rng(seed, 11)
-    best = 0.0
-    cands = [np.eye(model.D) / np.sqrt(model.D)]
-    for _ in range(samples):
-        m = rng.standard_normal((model.D, model.D))
-        w = m @ m.T
-        cands.append(w / np.linalg.norm(w))
-    for a in cands:
-        best = max(best, xi_eval(model, a))
-    return best
+    D = model.D
+    m = node_rng(seed, 11).standard_normal((samples, D, D))
+    w = m @ np.swapaxes(m, 1, 2)
+    cands = np.concatenate([np.eye(D)[None] / np.sqrt(D),
+                            w / np.linalg.norm(w, axis=(1, 2))[:, None, None]])
+    return max(0.0, float(np.max(xi_eval_batch(model, cands))))
 
 
 def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
@@ -432,16 +437,17 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     session = _Session(model, P1, N, [q, q_alt, q_lo], n_max)
 
     def make_stat():
-        expo, g = session.buffer(), session.buffer()
+        bufs = session.buffers()
 
         def stat(parts):
             # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
             # q_lo at t, then the Gibbs xi moment on q at t: replicas are
             # conditionally independent given the randomness, so the pair
             # expectation factors through the config marginals
-            lz_t = _gibbs_weights(session.assemble(parts, 0, t, 0.0, expo), g)
+            g = session.assemble(parts, 0, t, 0.0, bufs)
+            lz_t = _log_z(g, normalize=True)
             gibbs = _xi_pair_moment(session, g.sum(axis=1))
-            lz = [_log_z(session.assemble(parts, path, s, 0.0, expo))
+            lz = [_log_z(session.assemble(parts, path, s, 0.0, bufs))
                   for path, s in ((0, t_lo), (0, t + h), (0, 0.0),
                                   (1, t_alt), (2, t))]
             return [lz_t, *lz, gibbs]

@@ -16,9 +16,9 @@ from hjparisi import (
     sample_hamiltonian,
     sk,
 )
-from hjparisi import finiten
-from hjparisi.model import ReferenceMeasure
-from hjparisi.paths import path_new
+from hjparisi import cascade, finiten
+from hjparisi.model import ReferenceMeasure, xi_eval_batch
+from hjparisi.paths import path_new, sqrt_increments
 
 P1 = ising_measure(1)
 
@@ -262,6 +262,47 @@ def test_estimators_reject_a_non_integer_count_or_seed_before_any_work(
         run()
 
 
+@pytest.mark.parametrize("D", (1, 2))
+@pytest.mark.parametrize("K", (0, 1, 2))
+def test_assembled_exponent_is_the_elementwise_sum(D, K):
+    # the one-product exponent against its terms summed one by one, each
+    # rebuilt from a replay of the draw's stream, on every path of an
+    # identity_checks session
+    model = sk(1.0) if D == 1 else frobenius_square(1.0, 2)
+    q = path_new([0.0, 0.3, 0.6][:K + 1],
+                 [(0.1 + 0.1 * k) * np.eye(D) for k in range(K + 1)])
+    paths = [q] + [q.with_values([f * v for v in q.values])
+                   for f in (0.85, 0.7)]
+    N, n_max, t = 3, 4, 0.1
+    session = finiten._Session(model, ising_measure(D), N, paths, n_max)
+    parts = session.draw(np.random.default_rng(1))
+
+    rng = np.random.default_rng(1)
+    ham = sample_hamiltonian(model, N, int(rng.integers(2 ** 62)))
+    leaf_logw, _ = cascade._grow_log_weights(q.zetas[1:], n_max, rng)
+    zs = [rng.standard_normal((n_max ** level, D, N))
+          for level in range(K + 1)]
+    w_hat = rng.standard_normal((N, N))
+    x_flat, x3 = session.x_flat, session.x3
+    gram = np.einsum("cdn,cen->cde", x3, x3)
+    hat = np.einsum("cdi,ij,cdj->c", x3, w_hat, x3) / np.sqrt(N)
+    bufs = session.buffers()
+    for path, qp in enumerate(paths):
+        field = cascade._leaf_field(sqrt_increments(qp), zs)
+        field_term = x_flat @ field.reshape(len(leaf_logw), -1).T
+        for t_hat in (0.0, 0.05):
+            base = (session.logw_cfg + np.sqrt(2 * t) * ham.evaluate(x_flat)
+                    - t * N * xi_eval_batch(model, gram / N)
+                    - np.einsum("cde,de->c", gram, qp.final_value)
+                    - t_hat * np.einsum("cde,cde->c", gram, gram) / N
+                    + np.sqrt(2 * t_hat) * hat)
+            want = (base[:, None] + leaf_logw[None, :]
+                    + np.sqrt(2.0) * field_term)
+            got = session.assemble(parts, path, t, t_hat, bufs)
+            assert got.shape == (2 ** (D * N), n_max ** K)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 def test_identity_check_fields_are_plain_floats():
     report = identity_checks(sk(1.0), P1, N=3, t=0.1, q=Q2, samples=120,
                              seed=2)
@@ -271,60 +312,63 @@ def test_identity_check_fields_are_plain_floats():
         assert isinstance(check.sigma, float)
 
 
-# Fixed-seed values of the sample kernel that built every exponent matrix
-# as a fresh temporary and summed the coupling term with one einsum.  At
-# t_hat = 0 the in-place kernel does the same float operations in the same
-# order, so they must agree bit for bit; at t_hat > 0 the coupling term's
-# sum runs in another order, so they agree to rounding.
+# Fixed-seed values of the sample kernel that builds each exponent matrix
+# with one product of a config factor [x, 1, config terms] and a leaf
+# factor [sqrt(2) field ; leaf log-weights ; 1].  At t_hat = 0 the kernel's
+# float operations are fixed, so the values must agree bit for bit; at
+# t_hat > 0 the coupling term's sum may run in another order, so they
+# agree to rounding.  The pins of the earlier kernel (a product for the
+# field term, then a broadcast add of the config and leaf terms) differ
+# from these by at most 1.2e-16.
 QD2 = path_new([0.0, 0.5], [np.diag([0.1, 0.08]), np.diag([0.25, 0.3])])
 FE_INSTANCES = {
     "D1": (sk(1.0), P1, 4, Q2, 16),
     "D2": (frobenius_square(1.0, 2), ising_measure(2), 3, QD2, 8),
 }
 PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
-    ("D1", 0.0): (0.06359377030242934, 0.025622476267263793,
+    ("D1", 0.0): (0.06359377030242933, 0.025622476267263786,
                   0.014388800613006533),
-    ("D1", 0.05): (0.10968913163467645, 0.032525406030288626,
+    ("D1", 0.05): (0.10968913163467642, 0.032525406030288626,
                    0.014388800613006533),
-    ("D2", 0.0): (0.09239791532593246, 0.029946787556625,
+    ("D2", 0.0): (0.09239791532593249, 0.02994678755662501,
                   0.04913286727467261),
-    ("D2", 0.05): (0.09326298064795586, 0.03689339210949584,
+    ("D2", 0.05): (0.09326298064795588, 0.03689339210949583,
                    0.04913286727467261),
 }
 PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
     0.0: dict(
-        level_mass=[0.45474320779514316, 0.5452567922048569],
-        level_mass_stderr=[0.04434571782583678, 0.04434571782583679],
+        level_mass=[0.45474320779514316, 0.545256792204857],
+        level_mass_stderr=[0.04434571782583678, 0.04434571782583678],
         cond_mean=[0.11855104931221787, 0.382858362626146],
-        cond_mean_stderr=[0.02637684184739499, 0.019258600426701803],
-        joint_mass=[[0.015375090760409136, 0.05699440884895214,
-                     0.11084573637093656, 0.13216873374856603,
+        cond_mean_stderr=[0.026376841847395038, 0.0192586004267018],
+        joint_mass=[[0.015375090760409136, 0.05699440884895215,
+                     0.11084573637093657, 0.13216873374856603,
                      0.10035454255076628, 0.039004695515512916],
-                    [0.0038183096627852457, 0.024184676535835718,
-                     0.07976954425734674, 0.15318853829199064,
-                     0.17973571001301117, 0.10456001344388748]],
+                    [0.0038183096627852444, 0.02418467653583571,
+                     0.07976954425734675, 0.1531885382919906,
+                     0.17973571001301117, 0.1045600134438875]],
         truncation_ratio=0.03519717557707124),
     0.05: dict(
-        level_mass=[0.4551235986646927, 0.5448764013353071],
-        level_mass_stderr=[0.04433396227637561, 0.044333962276375614],
-        cond_mean=[0.12178469518414381, 0.40236335184842664],
-        cond_mean_stderr=[0.029836760436993168, 0.02127384678319513],
-        joint_mass=[[0.016717578892607613, 0.061727577575610336,
-                     0.10784010961061814, 0.1228958062461657,
-                     0.09943112873584137, 0.04651139760384967],
-                    [0.004307414889643746, 0.024733808361284398,
-                     0.07726154435380966, 0.14371557822090636,
-                     0.174407167980713, 0.12045088752894997]],
+        level_mass=[0.45512359866469276, 0.5448764013353072],
+        level_mass_stderr=[0.044333962276375614, 0.04433396227637563],
+        cond_mean=[0.12178469518414377, 0.40236335184842653],
+        cond_mean_stderr=[0.029836760436993133, 0.021273846783195122],
+        joint_mass=[[0.016717578892607606, 0.06172757757561033,
+                     0.10784010961061816, 0.12289580624616572,
+                     0.0994311287358414, 0.046511397603849654],
+                    [0.004307414889643745, 0.024733808361284394,
+                     0.07726154435380966, 0.14371557822090633,
+                     0.17440716798071298, 0.12045088752894999]],
         truncation_ratio=0.03519717557707124),
 }
 PINNED_CHECKS = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=16, seed 2
-    "lipschitz": (True, 0.0005413180521856575, 0.08000000000000002,
-                  0.0077607514340287224),
-    "dt_identity": (True, 0.2667403259080736, 0.43637193718553124,
-                    0.1537490910212001),
-    "monotone": (True, 0.028909434288574648, 0.0, 0.004701907217358808),
+    "lipschitz": (True, 0.0005413180521856437, 0.08000000000000002,
+                  0.007760751434028727),
+    "dt_identity": (True, 0.26674032590807384, 0.43637193718553124,
+                    0.15374909102120002),
+    "monotone": (True, 0.028909434288574648, 0.0, 0.004701907217358807),
     "initial": (True, 0.07472487722570834, 0.03341942319313077,
-                0.019471414101662733),
+                0.019471414101662737),
 }
 
 
@@ -363,17 +407,18 @@ def test_overlap_law_histogram_matches_pinned_values(threads):
             _assert_pinned(got[key], value, t_hat)
 
 
-# identity_checks on a D=2 instance, taken at commit 9421900, where each
-# of the three compared paths had a session and a pass of its own
+# identity_checks on a D=2 instance, from the one-product kernel; the
+# earlier kernel's pins, which matched the values of one session and pass
+# per compared path, differ by at most 4.5e-16
 PINNED_CHECKS_D2 = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=8, seed 2
     "lipschitz": (True, "0x1.abd7916c01760p-7", "0x1.6c1b31e94e076p-4",
                   "0x1.72f19d478e059p-8"),
-    "dt_identity": (True, "0x1.b467406c81662p-2", "0x1.733fcf55169e3p-2",
-                    "0x1.baf1d709c23cdp-4"),
-    "monotone": (True, "0x1.f49d41bc97780p-7", "0x0.0p+0",
-                 "0x1.25f7c4a05a93cp-8"),
-    "initial": (True, "0x1.562622ca2a6a0p-5", "0x1.14cf85bde9148p-6",
-                "0x1.f3bd337239a66p-7"),
+    "dt_identity": (True, "0x1.b467406c8165ap-2", "0x1.733fcf55169e3p-2",
+                    "0x1.baf1d709c23c2p-4"),
+    "monotone": (True, "0x1.f49d41bc97778p-7", "0x0.0p+0",
+                 "0x1.25f7c4a05a943p-8"),
+    "initial": (True, "0x1.562622ca2a6a1p-5", "0x1.14cf85bde9148p-6",
+                "0x1.f3bd337239a69p-7"),
 }
 
 
@@ -453,11 +498,12 @@ def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
             run()
 
 
-# free_energy_mc on a depth-0 path, taken at commit d58a979, where a
-# depth-0 draw skipped the growth and used a single unit-weight leaf
+# free_energy_mc on a depth-0 path, from the one-product kernel; the
+# earlier kernel's pins, which matched a depth-0 draw that skipped the
+# growth and used a single unit-weight leaf, differ by at most 7e-18
 PINNED_FE_FLAT = {   # t_hat: (mean, stderr, truncation_ratio)
-    0.0: ("0x1.b2dc7a61fc36dp-5", "0x1.16ed2a4f4d403p-5", "0x0.0p+0"),
-    0.05: ("0x1.5ca64f0aaab12p-5", "0x1.39efaa99b51bcp-5", "0x0.0p+0"),
+    0.0: ("0x1.b2dc7a61fc36dp-5", "0x1.16ed2a4f4d402p-5", "0x0.0p+0"),
+    0.05: ("0x1.5ca64f0aaab13p-5", "0x1.39efaa99b51bbp-5", "0x0.0p+0"),
 }
 
 
