@@ -9,11 +9,14 @@ sample loop draws it from streams keyed by the seed alone, so equal seeds
 give common random numbers, and applies a per-sample statistic to each
 draw: `identity_checks` reads all it compares, on every compared path,
 from one pass, and every estimator reports the largest truncation ratio
-drawn.  A draw keeps, per compared path, a leaf factor [sqrt(2) field ;
-leaf log-weights ; 1] of D*N + 2 rows; each chunk of draws owns a config
-factor [configs, 1, config terms] and an exponent buffer, so one matrix
-product builds each config-by-leaf exponent matrix and a sample allocates
-no config-by-leaf array.
+drawn.  Each chunk of 16 samples draws all of them at once from its own
+stream: the coefficients, the Hamiltonian values (contracted in blocks
+of samples), the cascades, the node Gaussians and the coupling matrices
+come in one array each with a leading sample axis.  A sample keeps, per
+compared path, a leaf factor [sqrt(2) field ; leaf log-weights ; 1] of
+D*N + 2 rows; each chunk owns a config factor [configs, 1, config terms]
+and an exponent buffer, so one matrix product builds each config-by-leaf
+exponent matrix and a sample allocates no config-by-leaf array.
 """
 
 from __future__ import annotations
@@ -38,6 +41,11 @@ __all__ = [
 
 CONFIG_BUDGET = 16384
 PAIR_BUDGET = 1 << 26
+# samples one stream draws at once, and one chunk of the sample loop
+CHUNK = 16
+# doubles the Hamiltonian contraction's first product, n_cfg * samples *
+# (D*N)**(p-1), may hold; a chunk is contracted in blocks of samples that fit
+CONTRACT_DOUBLES = 1 << 20
 
 
 def _check_size(model, N):
@@ -67,16 +75,31 @@ class DisorderSample:
     def evaluate(self, x_flat):
         """H_N for a batch of flattened configurations (n, D*N)."""
         x_flat = np.atleast_2d(np.asarray(x_flat, dtype=float))
-        out = np.zeros(len(x_flat))
-        dn = x_flat.shape[1]
-        for p, tensor in self.terms:
-            cur = tensor.reshape(dn, -1)
-            y = x_flat @ cur
+        terms = [(p, tensor[None]) for p, tensor in self.terms]
+        return _hamiltonian_values(terms, x_flat, 1)[0]
+
+
+def _hamiltonian_values(terms, x_flat, count):
+    """H_N of `count` coefficient draws on every configuration, shape
+    (count, n): terms holds per degree p a (count, (D*N,)*p) tensor.  The
+    sample axis rides last in the product's columns, so each contraction
+    over one spin slot serves every sample of a block; a block holds at
+    most as many samples as keep the first product, n * samples *
+    (D*N)**(p-1) doubles, under CONTRACT_DOUBLES."""
+    n, dn = x_flat.shape
+    out = np.zeros((count, n))
+    for p, tensor in terms:
+        width = dn ** (p - 1)
+        cap = max(1, CONTRACT_DOUBLES // (n * width))
+        for s0 in range(0, count, cap):
+            block = tensor[s0:s0 + cap]
+            b = len(block)
+            y = x_flat @ np.moveaxis(block, 0, -1).reshape(dn, -1)
             for _ in range(p - 1):
-                y = y.reshape(len(x_flat), dn, -1)
+                y = y.reshape(n, dn, -1)
                 y = np.einsum("na,nab->nb", x_flat, y)
-            out += y.reshape(-1)
-        return out
+            out[s0:s0 + b] += y.T
+    return out
 
 
 def _check_run(model, N, samples, seed):
@@ -89,29 +112,38 @@ def _check_run(model, N, samples, seed):
 
 
 def _interleave(j, p, N, D):
-    """(N^p, D^p) coefficient block -> ((DN,)*p) with index d*N+i."""
-    t = j.reshape((N,) * p + (D,) * p)
-    perm = []
+    """(count, N^p, D^p) coefficient blocks -> (count, (DN,)*p) with index
+    d*N+i."""
+    t = j.reshape((len(j),) + (N,) * p + (D,) * p)
+    perm = [0]
     for k in range(p):
-        perm += [p + k, k]
-    return t.transpose(perm).reshape((D * N,) * p)
+        perm += [1 + p + k, 1 + k]
+    return t.transpose(perm).reshape((len(j),) + (D * N,) * p)
 
 
-def sample_hamiltonian(model, N, seed) -> DisorderSample:
-    """Independent coefficient blocks per degree with cross-slot
-    covariance given by the model's coefficient matrices, drawn with
-    their square roots model.factors."""
-    _check_size(model, N)
-    _check_seed("seed", seed)
-    rng = node_rng(seed, 10)
+def _draw_terms(model, N, rng, count):
+    """`count` independent draws of the coefficient tensors: per degree p
+    one (count, (D*N,)*p) array, with cross-slot covariance given by the
+    model's coefficient matrices, drawn with their square roots
+    model.factors, and the N^{-(p-1)/2} normalization included."""
     D = model.D
     terms = []
     for (p, _), factor in zip(model.terms, model.factors):
-        z = rng.standard_normal((N ** p, D ** p))
-        j = z @ factor.T
-        tensor = _interleave(j, p, N, D) * N ** (-(p - 1) / 2.0)
+        z = rng.standard_normal((count, N ** p, D ** p))
+        tensor = _interleave(z @ factor.T, p, N, D) * N ** (-(p - 1) / 2.0)
         terms.append((p, tensor))
-    return DisorderSample(model, int(N), int(seed), tuple(terms))
+    return terms
+
+
+def sample_hamiltonian(model, N, seed) -> DisorderSample:
+    """One draw of the coefficient tensors, independent blocks per degree
+    with cross-slot covariance given by the model's coefficient matrices,
+    from the stream keyed by (seed, 10)."""
+    _check_size(model, N)
+    _check_seed("seed", seed)
+    terms = _draw_terms(model, N, node_rng(seed, 10), 1)
+    return DisorderSample(model, int(N), int(seed),
+                          tuple((p, tensor[0]) for p, tensor in terms))
 
 
 def _enumerate_configs(P1, N):
@@ -138,7 +170,7 @@ class McEstimate:
     truncation_ratio: float = 0.0
 
 
-_Draw = namedtuple("_Draw", "h_vals factors w_hat ratio")
+_Draw = namedtuple("_Draw", "h_vals factors w_hat")
 
 
 class _Session:
@@ -158,9 +190,11 @@ class _Session:
         self.n_cfg = len(self.x_flat)
         self.D = model.D
         self.K, self.L = K, self.n_max ** K
-        # counts one (n_cfg, L) grid per compared path, although a draw
-        # holds only a (D*N + 2, L) factor per path and a chunk one grid
-        if len(paths) * self.n_cfg * self.L > PAIR_BUDGET:
+        # a chunk holds one (n_cfg, L) exponent grid, and its draw a leaf
+        # factor per compared path and the Hamiltonian values per sample
+        held = self.n_cfg * self.L + CHUNK * (
+            len(paths) * (self.D * N + 2) * self.L + self.n_cfg)
+        if held > PAIR_BUDGET:
             raise BudgetExceeded("config x leaf grid exceeds the budget; "
                                  "reduce N, n_max, or the path depth")
         self.roots = [sqrt_increments(q) for q in paths]
@@ -180,25 +214,31 @@ class _Session:
         return (np.hstack([self.x_flat, np.ones((self.n_cfg, 2))]),
                 np.empty((self.n_cfg, self.L)))
 
-    def draw(self, rng):
-        """The parts of one draw of all randomness: Hamiltonian values per
-        config, each path's leaf factor [sqrt(2) F^T ; leaf_logw ; 1] of
-        shape (D*N + 2, L), with F the (L, D*N) field at the leaves, the
-        coupling perturbation's matrix and the cascade's truncation
-        ratio."""
-        N, D, K = self.N, self.D, self.K
-        ham = sample_hamiltonian(self.model, N, int(rng.integers(2 ** 62)))
-        h_vals = ham.evaluate(self.x_flat)
-        leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng)
-        zs = [rng.standard_normal((self.n_max ** level, D, N))
+    def draw(self, rng, count):
+        """The parts of `count` draws of all randomness, each with a
+        leading sample axis: Hamiltonian values per config (count, n_cfg),
+        each path's leaf factor [sqrt(2) F^T ; leaf_logw ; 1] in factors
+        (count, paths, D*N + 2, L), with F the (L, D*N) field at the
+        leaves, and the coupling perturbation's matrices (count, N, N);
+        and the largest truncation ratio of the count cascades."""
+        N, D, K, L = self.N, self.D, self.K, self.L
+        terms = _draw_terms(self.model, N, rng, count)
+        h_vals = _hamiltonian_values(terms, self.x_flat, count)
+        leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng,
+                                             batch=count)
+        # sample i's level-l nodes are rows i * n_max**l onward, so the
+        # count cascades' leaves fill (count * L) rows in sample order
+        zs = [rng.standard_normal((count * self.n_max ** level, D, N))
               for level in range(K + 1)]
-        factors = []
-        for roots in self.roots:
-            field = _leaf_field(roots, zs).reshape(self.L, -1)
-            factors.append(np.vstack([np.sqrt(2.0) * field.T, leaf_logw,
-                                      np.ones(self.L)]))
-        w_hat = rng.standard_normal((N, N))
-        return _Draw(h_vals, factors, w_hat, ratio)
+        factors = np.empty((count, len(self.roots), D * N + 2, L))
+        for k, roots in enumerate(self.roots):
+            field = _leaf_field(roots, zs).reshape(count, L, D * N)
+            np.multiply(np.sqrt(2.0), field.transpose(0, 2, 1),
+                        out=factors[:, k, :-2])
+        factors[:, :, -2] = leaf_logw[:, None]
+        factors[:, :, -1] = 1.0
+        w_hat = rng.standard_normal((count, N, N))
+        return _Draw(h_vals, factors, w_hat), ratio
 
     def assemble(self, parts, path, t, t_hat, bufs):
         """Exponent matrix (n_cfg, L) of one draw at (t, t_hat) on the
@@ -235,24 +275,20 @@ def _log_z(expo, normalize=False):
 
 def _crn_samples(session, make_stat, samples, seed, threads):
     """stat(parts) of `samples` draws of session, in sample order, and the
-    largest truncation ratio drawn.  Each 16-sample chunk has its own
-    stream keyed by (seed, chunk start), so sessions run with one seed
-    share common random numbers at any thread count.  Each chunk calls
-    make_stat() once for its stat, whose work buffers are that chunk's
-    alone: no two threads ever write to one buffer."""
-    chunk = 16
+    largest truncation ratio drawn.  Each CHUNK-sample chunk draws its
+    samples at once from its own stream keyed by (seed, chunk start), so
+    sessions run with one seed share common random numbers at any thread
+    count.  Each chunk calls make_stat() once for its stat, whose work
+    buffers are that chunk's alone: no two threads ever write to one
+    buffer."""
 
     def one_chunk(s0):
-        rng = node_rng(seed, 5, s0)
+        parts, ratio = session.draw(node_rng(seed, 5, s0),
+                                    min(CHUNK, samples - s0))
         stat = make_stat()
-        stats, ratio = [], 0.0
-        for _ in range(min(chunk, samples - s0)):
-            parts = session.draw(rng)
-            ratio = max(ratio, parts.ratio)
-            stats.append(stat(parts))
-        return stats, ratio
+        return [stat(_Draw(*sample)) for sample in zip(*parts)], ratio
 
-    blocks = chunked_thread_map(one_chunk, range(0, samples, chunk), threads)
+    blocks = chunked_thread_map(one_chunk, range(0, samples, CHUNK), threads)
     return ([v for stats, _ in blocks for v in stats],
             max(ratio for _, ratio in blocks))
 

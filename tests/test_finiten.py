@@ -13,6 +13,7 @@ from hjparisi import (
     identity_checks,
     ising_measure,
     psi_eval,
+    pure_p,
     sample_hamiltonian,
     sk,
 )
@@ -171,15 +172,15 @@ def test_identity_checks_draw_each_session_once(monkeypatch):
     calls = []
     draw = finiten._Session.draw
 
-    def counted(session, *args, **kwargs):
-        calls.append(session)
-        return draw(session, *args, **kwargs)
+    def counted(session, rng, count):
+        calls.append((session, count))
+        return draw(session, rng, count)
 
     monkeypatch.setattr(finiten._Session, "draw", counted)
     identity_checks(sk(1.0), P1, N=3, t=0.1, q=Q2, samples=20, seed=2,
                     n_max=8)
-    assert len(calls) == 20
-    assert len(set(map(id, calls))) == 1
+    assert sum(count for _, count in calls) == 20
+    assert len({id(session) for session, _ in calls}) == 1
 
 
 def test_truncation_ratio_is_reported_and_thread_invariant():
@@ -230,8 +231,8 @@ def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
     with pytest.raises(BudgetExceeded):
         identity_checks(frobenius_square(1.0, 2), ising_measure(2), N=2,
                         t=0.1, q=q, samples=20, seed=0, n_max=4)
-    # 2^14 configs x 4096 leaves fit the pair budget once, but a draw
-    # holds the field term of each of the three compared paths
+    # one exponent grid of 2^14 configs x 4096 leaves fills the pair
+    # budget, and a chunk's draw holds three paths' leaf factors besides
     with pytest.raises(BudgetExceeded, match="leaf grid"):
         identity_checks(sk(1.0), P1, N=14, t=0.1, q=Q2, samples=4, seed=0,
                         n_max=4096)
@@ -262,45 +263,67 @@ def test_estimators_reject_a_non_integer_count_or_seed_before_any_work(
         run()
 
 
-@pytest.mark.parametrize("D", (1, 2))
-@pytest.mark.parametrize("K", (0, 1, 2))
-def test_assembled_exponent_is_the_elementwise_sum(D, K):
-    # the one-product exponent against its terms summed one by one, each
-    # rebuilt from a replay of the draw's stream, on every path of an
-    # identity_checks session
-    model = sk(1.0) if D == 1 else frobenius_square(1.0, 2)
+def _check_assembled(model, N, K, count):
+    # the one-product exponent of every sample of a chunk against its terms
+    # summed one by one, each rebuilt from a replay of the chunk's stream,
+    # on every path of an identity_checks session
+    D, n_max, t = model.D, 4, 0.1
     q = path_new([0.0, 0.3, 0.6][:K + 1],
                  [(0.1 + 0.1 * k) * np.eye(D) for k in range(K + 1)])
     paths = [q] + [q.with_values([f * v for v in q.values])
                    for f in (0.85, 0.7)]
-    N, n_max, t = 3, 4, 0.1
     session = finiten._Session(model, ising_measure(D), N, paths, n_max)
-    parts = session.draw(np.random.default_rng(1))
+    parts, _ = session.draw(np.random.default_rng(1), count)
 
     rng = np.random.default_rng(1)
-    ham = sample_hamiltonian(model, N, int(rng.integers(2 ** 62)))
-    leaf_logw, _ = cascade._grow_log_weights(q.zetas[1:], n_max, rng)
-    zs = [rng.standard_normal((n_max ** level, D, N))
+    coeffs = [(p, rng.standard_normal((count, N ** p, D ** p)) @ factor.T)
+              for (p, _), factor in zip(model.terms, model.factors)]
+    leaf_logw, _ = cascade._grow_log_weights(q.zetas[1:], n_max, rng,
+                                             batch=count)
+    zs = [rng.standard_normal((count, n_max ** level, D, N))
           for level in range(K + 1)]
-    w_hat = rng.standard_normal((N, N))
+    w_hat = rng.standard_normal((count, N, N))
     x_flat, x3 = session.x_flat, session.x3
     gram = np.einsum("cdn,cen->cde", x3, x3)
-    hat = np.einsum("cdi,ij,cdj->c", x3, w_hat, x3) / np.sqrt(N)
     bufs = session.buffers()
-    for path, qp in enumerate(paths):
-        field = cascade._leaf_field(sqrt_increments(qp), zs)
-        field_term = x_flat @ field.reshape(len(leaf_logw), -1).T
-        for t_hat in (0.0, 0.05):
-            base = (session.logw_cfg + np.sqrt(2 * t) * ham.evaluate(x_flat)
-                    - t * N * xi_eval_batch(model, gram / N)
-                    - np.einsum("cde,de->c", gram, qp.final_value)
-                    - t_hat * np.einsum("cde,cde->c", gram, gram) / N
-                    + np.sqrt(2 * t_hat) * hat)
-            want = (base[:, None] + leaf_logw[None, :]
-                    + np.sqrt(2.0) * field_term)
-            got = session.assemble(parts, path, t, t_hat, bufs)
-            assert got.shape == (2 ** (D * N), n_max ** K)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    for i, sample in enumerate(zip(*parts)):
+        ham = finiten.DisorderSample(model, N, 0, tuple(
+            (p, finiten._interleave(j[i:i + 1], p, N, D)[0]
+             * N ** (-(p - 1) / 2.0)) for p, j in coeffs))
+        hat = np.einsum("cdi,ij,cdj->c", x3, w_hat[i], x3) / np.sqrt(N)
+        for path, qp in enumerate(paths):
+            field = cascade._leaf_field(sqrt_increments(qp),
+                                        [z[i] for z in zs])
+            field_term = x_flat @ field.reshape(n_max ** K, -1).T
+            for t_hat in (0.0, 0.05):
+                base = (session.logw_cfg
+                        + np.sqrt(2 * t) * ham.evaluate(x_flat)
+                        - t * N * xi_eval_batch(model, gram / N)
+                        - np.einsum("cde,de->c", gram, qp.final_value)
+                        - t_hat * np.einsum("cde,cde->c", gram, gram) / N
+                        + np.sqrt(2 * t_hat) * hat)
+                want = (base[:, None] + leaf_logw[i][None, :]
+                        + np.sqrt(2.0) * field_term)
+                got = session.assemble(finiten._Draw(*sample), path, t,
+                                       t_hat, bufs)
+                assert got.shape == (2 ** (D * N), n_max ** K)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("D", (1, 2))
+@pytest.mark.parametrize("K", (0, 1, 2))
+def test_assembled_exponent_is_the_elementwise_sum(D, K):
+    # a partial last chunk of three samples
+    _check_assembled(sk(1.0) if D == 1 else frobenius_square(1.0, 2), 3, K,
+                     count=3)
+
+
+def test_assembled_exponent_holds_where_the_contraction_splits_a_chunk():
+    # a cubic model at N=10 holds 2^10 x 10^2 doubles per sample in the
+    # Hamiltonian contraction, so a full chunk is contracted in two blocks
+    N = 10
+    assert finiten.CONTRACT_DOUBLES // (2 ** N * N ** 2) < finiten.CHUNK
+    _check_assembled(pure_p(3), N, 1, count=finiten.CHUNK)
 
 
 def test_identity_check_fields_are_plain_floats():
@@ -312,63 +335,62 @@ def test_identity_check_fields_are_plain_floats():
         assert isinstance(check.sigma, float)
 
 
-# Fixed-seed values of the sample kernel that builds each exponent matrix
-# with one product of a config factor [x, 1, config terms] and a leaf
-# factor [sqrt(2) field ; leaf log-weights ; 1].  At t_hat = 0 the kernel's
-# float operations are fixed, so the values must agree bit for bit; at
-# t_hat > 0 the coupling term's sum may run in another order, so they
-# agree to rounding.  The pins of the earlier kernel (a product for the
-# field term, then a broadcast add of the config and leaf terms) differ
-# from these by at most 1.2e-16.
+# Fixed-seed values of the sample kernel: each chunk draws its samples at
+# once from its own stream, and one product of a config factor [x, 1,
+# config terms] and a leaf factor [sqrt(2) field ; leaf log-weights ; 1]
+# builds each exponent matrix.  At t_hat = 0 the kernel's float operations
+# are fixed, so the values must agree bit for bit; at t_hat > 0 the
+# coupling term's sum may run in another order, so they agree to rounding.
 QD2 = path_new([0.0, 0.5], [np.diag([0.1, 0.08]), np.diag([0.25, 0.3])])
 FE_INSTANCES = {
     "D1": (sk(1.0), P1, 4, Q2, 16),
     "D2": (frobenius_square(1.0, 2), ising_measure(2), 3, QD2, 8),
 }
 PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
-    ("D1", 0.0): (0.06359377030242933, 0.025622476267263786,
-                  0.014388800613006533),
-    ("D1", 0.05): (0.10968913163467642, 0.032525406030288626,
-                   0.014388800613006533),
-    ("D2", 0.0): (0.09239791532593249, 0.02994678755662501,
-                  0.04913286727467261),
-    ("D2", 0.05): (0.09326298064795588, 0.03689339210949583,
-                   0.04913286727467261),
+    ("D1", 0.0): (0.01940767635889129, 0.028478218270758648,
+                  0.008712998821111788),
+    ("D1", 0.05): (0.01955671630268197, 0.03408057974841573,
+                   0.008712998821111788),
+    ("D2", 0.0): (0.03437584971881771, 0.03488214247241256,
+                  0.04198985095345323),
+    ("D2", 0.05): (0.05104074831301299, 0.04350628391256703,
+                   0.04198985095345323),
 }
 PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
     0.0: dict(
-        level_mass=[0.45474320779514316, 0.545256792204857],
-        level_mass_stderr=[0.04434571782583678, 0.04434571782583678],
-        cond_mean=[0.11855104931221787, 0.382858362626146],
-        cond_mean_stderr=[0.026376841847395038, 0.0192586004267018],
-        joint_mass=[[0.015375090760409136, 0.05699440884895215,
-                     0.11084573637093657, 0.13216873374856603,
-                     0.10035454255076628, 0.039004695515512916],
-                    [0.0038183096627852444, 0.02418467653583571,
-                     0.07976954425734675, 0.1531885382919906,
-                     0.17973571001301117, 0.1045600134438875]],
-        truncation_ratio=0.03519717557707124),
+        level_mass=[0.46289840865720294, 0.537101591342797],
+        level_mass_stderr=[0.03566467559599999, 0.03566467559599999],
+        cond_mean=[0.10801539977291041, 0.36704493392165755],
+        cond_mean_stderr=[0.024609342041187903, 0.02012725537700685],
+        joint_mass=[[0.01615010241840003, 0.05859722341531446,
+                     0.11376927642964992, 0.13690521455111462,
+                     0.10198796583519079, 0.03548862600753315],
+                    [0.004466335268106006, 0.02601927100892632,
+                     0.07973266351816749, 0.1528398456680235,
+                     0.17861649083112288, 0.09542698504845083]],
+        truncation_ratio=0.05133585379496952),
     0.05: dict(
-        level_mass=[0.45512359866469276, 0.5448764013353072],
-        level_mass_stderr=[0.044333962276375614, 0.04433396227637563],
-        cond_mean=[0.12178469518414377, 0.40236335184842653],
-        cond_mean_stderr=[0.029836760436993133, 0.021273846783195122],
-        joint_mass=[[0.016717578892607606, 0.06172757757561033,
-                     0.10784010961061816, 0.12289580624616572,
-                     0.0994311287358414, 0.046511397603849654],
-                    [0.004307414889643745, 0.024733808361284394,
-                     0.07726154435380966, 0.14371557822090633,
-                     0.17440716798071298, 0.12045088752894999]],
-        truncation_ratio=0.03519717557707124),
+        level_mass=[0.4612393617566813, 0.5387606382433188],
+        level_mass_stderr=[0.03664716397302451, 0.03664716397302451],
+        cond_mean=[0.12259265344936253, 0.39171452634573944],
+        cond_mean_stderr=[0.027738740124690908, 0.025668577453152232],
+        joint_mass=[[0.020989490538061116, 0.06148909607627969,
+                     0.10299911402914383, 0.12287687014058442,
+                     0.10608209194507379, 0.04680269902753846],
+                    [0.0061122355831280265, 0.028324907913457882,
+                     0.07522502008189838, 0.1372020700888865,
+                     0.17536066505733194, 0.11653573951861596]],
+        truncation_ratio=0.05133585379496952),
 }
 PINNED_CHECKS = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=16, seed 2
-    "lipschitz": (True, 0.0005413180521856437, 0.08000000000000002,
-                  0.007760751434028727),
-    "dt_identity": (True, 0.26674032590807384, 0.43637193718553124,
-                    0.15374909102120002),
-    "monotone": (True, 0.028909434288574648, 0.0, 0.004701907217358807),
-    "initial": (True, 0.07472487722570834, 0.03341942319313077,
-                0.019471414101662737),
+    "lipschitz": (True, 0.006663344157409545, 0.08000000000000002,
+                  0.006291602624771607),
+    "dt_identity": (True, 0.3902461410061473, 0.43252388247318996,
+                    0.1210899705230858),
+    "monotone": (True, 0.026200157704483445, 0.0,
+                 0.00524045864662201),
+    "initial": (True, 0.07206975886597858, 0.03341942319313077,
+                0.019357632552503782),
 }
 
 
@@ -407,18 +429,16 @@ def test_overlap_law_histogram_matches_pinned_values(threads):
             _assert_pinned(got[key], value, t_hat)
 
 
-# identity_checks on a D=2 instance, from the one-product kernel; the
-# earlier kernel's pins, which matched the values of one session and pass
-# per compared path, differ by at most 4.5e-16
+# identity_checks on a D=2 instance, from the same kernel
 PINNED_CHECKS_D2 = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=8, seed 2
-    "lipschitz": (True, "0x1.abd7916c01760p-7", "0x1.6c1b31e94e076p-4",
-                  "0x1.72f19d478e059p-8"),
-    "dt_identity": (True, "0x1.b467406c8165ap-2", "0x1.733fcf55169e3p-2",
-                    "0x1.baf1d709c23c2p-4"),
-    "monotone": (True, "0x1.f49d41bc97778p-7", "0x0.0p+0",
-                 "0x1.25f7c4a05a943p-8"),
-    "initial": (True, "0x1.562622ca2a6a1p-5", "0x1.14cf85bde9148p-6",
-                "0x1.f3bd337239a69p-7"),
+    "lipschitz": (True, "0x1.e51fa64ee9424p-6", "0x1.6c1b31e94e076p-4",
+                  "0x1.6f61f36e70814p-8"),
+    "dt_identity": (True, "0x1.44f7e149282a2p-1", "0x1.6c1a9069da63bp-2",
+                    "0x1.03e5d1caf4081p-3"),
+    "monotone": (True, "0x1.74847b768db00p-10", "0x0.0p+0",
+                 "0x1.1290c2687598fp-8"),
+    "initial": (True, "-0x1.50c422ced43dfp-7", "0x1.14cf85bde9148p-6",
+                "0x1.07ecbc2672b6cp-6"),
 }
 
 
@@ -429,7 +449,7 @@ def test_identity_checks_on_a_d2_instance_are_pinned(threads):
     got = {name: (c.passed, c.lhs.hex(), c.rhs.hex(), c.sigma.hex())
            for name, c in report.checks.items()}
     assert got == PINNED_CHECKS_D2
-    assert report.truncation_ratio.hex() == "0x1.0a7895491fe95p-4"
+    assert report.truncation_ratio.hex() == "0x1.80845ae4c8c4ep-5"
 
 
 @pytest.mark.parametrize("threads", (1, 2))
@@ -498,12 +518,10 @@ def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
             run()
 
 
-# free_energy_mc on a depth-0 path, from the one-product kernel; the
-# earlier kernel's pins, which matched a depth-0 draw that skipped the
-# growth and used a single unit-weight leaf, differ by at most 7e-18
+# free_energy_mc on a depth-0 path, from the same kernel
 PINNED_FE_FLAT = {   # t_hat: (mean, stderr, truncation_ratio)
-    0.0: ("0x1.b2dc7a61fc36dp-5", "0x1.16ed2a4f4d402p-5", "0x0.0p+0"),
-    0.05: ("0x1.5ca64f0aaab13p-5", "0x1.39efaa99b51bbp-5", "0x0.0p+0"),
+    0.0: ("0x1.a0e722a5f266dp-5", "0x1.fd0ce7c936ccdp-6", "0x0.0p+0"),
+    0.05: ("0x1.5039618f6fb88p-4", "0x1.1744a7d30cf81p-5", "0x0.0p+0"),
 }
 
 
