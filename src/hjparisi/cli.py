@@ -61,7 +61,10 @@ def _write(text, out):
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
-    click.echo(text)
+    # click caches a wrapper per default stream and the wrapper keeps its
+    # stream alive, so each in-process run that swaps sys.stdout would
+    # leak that stream; naming the stream skips the cache
+    click.echo(text, file=sys.stdout)
 
 
 def _config():

@@ -6,17 +6,23 @@ Spins are enumerated exactly (product measure over atom assignments) so
 the only randomness is the disorder, the truncated cascade, its field,
 and the optional coupling perturbation; every inner sum is exact.  One
 sample loop draws it from streams keyed by the seed alone, so equal seeds
-give common random numbers, and applies a per-sample statistic to each
-draw: `identity_checks` reads all it compares, on every compared path,
+give common random numbers, and applies a statistic to each chunk of
+draws: `identity_checks` reads all it compares, on every compared path,
 from one pass, and every estimator reports the largest truncation ratio
 drawn.  Each chunk of 16 samples draws all of them at once from its own
 stream: the coefficients, the Hamiltonian values (contracted in blocks
 of samples), the cascades, the node Gaussians and the coupling matrices
-come in one array each with a leading sample axis.  A sample keeps, per
-compared path, a leaf factor [sqrt(2) field ; leaf log-weights ; 1] of
-D*N + 2 rows; each chunk owns a config factor [configs, 1, config terms]
-and an exponent buffer, so one matrix product builds each config-by-leaf
-exponent matrix and a sample allocates no config-by-leaf array.
+come in one array each with a leading sample axis.
+
+The partition sum is never formed config by leaf.  The field enters the
+exponent as sqrt(2) x . F_l, a sum over sites, so with the sites split
+into halves, config c = (a, b), each term factors as
+exp(base_ab) E1[a, l] E2[b, l] w_l, every per-config term (the coupling
+perturbation's too) staying in base.  For a whole chunk, log Z is one
+(n1, n2) x (n2, L) product per sample and a small sum over leaves, and
+the Gibbs aggregates (leaf masses, leaf spin sums, the config marginal)
+come from the same factors; only the D=1 overlap histogram forms the
+(config, leaf) weights, by a broadcast product.
 """
 
 from __future__ import annotations
@@ -170,12 +176,55 @@ class McEstimate:
     truncation_ratio: float = 0.0
 
 
-_Draw = namedtuple("_Draw", "h_vals factors w_hat")
+_Draw = namedtuple("_Draw", "h_vals leaf_logw fields w_hat")
+
+
+class _Gibbs(namedtuple("_Gibbs", "cfg e1 e2 p1 weight log_z")):
+    """The Gibbs weights of a chunk's samples in split form: sample s puts
+    cfg[s, a, b] e1[s, a, l] e2[s, b, l] weight[s, l] on the config of
+    halves (a, b) at leaf l.  p1 = e1 * (cfg @ e2) sums out the second
+    half, and log_z holds each sample's log Z."""
+
+    def leaf_mass(self):
+        """Gibbs mass of each leaf, shape (count, L)."""
+        return self.p1.sum(axis=1) * self.weight
+
+    def marginal(self):
+        """Gibbs mass of each config summed over the leaves, (count,
+        n_cfg): cfg * (e1 diag(weight) e2^T)."""
+        pair = np.matmul(self.e1 * self.weight[:, None],
+                         self.e2.transpose(0, 2, 1))
+        return (self.cfg * pair).reshape(len(pair), -1)
+
+    def grid(self, s, out):
+        """Sample s's (n_cfg, L) Gibbs weights, written into out of shape
+        (n1, n2, L) by a broadcast product."""
+        np.multiply(self.cfg[s][:, :, None], self.e1[s][:, None], out=out)
+        out *= (self.e2[s] * self.weight[s])[None]
+        return out.reshape(-1, out.shape[-1])
+
+
+def _exp_shifted(a):
+    """exp(a - max) in place, the max taken over axis 1 per leaf; returns
+    the array and the max, shape (count, L)."""
+    top = a.max(axis=1)
+    a -= top[:, None]
+    return np.exp(a, out=a), top
+
+
+def _node_sums(a, nodes):
+    """Sums of a's last (leaf) axis over each of `nodes` contiguous blocks
+    of leaves, the nodes of one cascade level."""
+    return a.reshape(*a.shape[:-1], nodes, -1).sum(axis=-1)
 
 
 class _Session:
     """Static per-run data shared by every disorder sample, for compared
-    paths of one partition: each path's roots scale one draw's field."""
+    paths of one partition: each path's roots scale one draw's field.
+
+    Configs are split by sites into halves: the first N1 = N // 2 sites
+    (n1 configs) and the rest (n2), so config c = a * n2 + b since site
+    0 is the most significant (`_enumerate_configs`)."""
 
     def __init__(self, model, P1, N, paths, n_max):
         if any(q.D != model.D for q in paths):
@@ -188,15 +237,24 @@ class _Session:
         self.model, self.N, self.n_max = model, N, int(n_max)
         self.x_flat, self.x3, self.logw_cfg = _enumerate_configs(P1, N)
         self.n_cfg = len(self.x_flat)
-        self.D = model.D
+        self.D = D = model.D
         self.K, self.L = K, self.n_max ** K
-        # a chunk holds one (n_cfg, L) exponent grid, and its draw a leaf
-        # factor per compared path and the Hamiltonian values per sample
+        # the pair budget over-counts what a chunk holds: it counts one
+        # (n_cfg, L) grid and (D*N + 2) * L entries per path and sample,
+        # where a sample keeps split factors of (n1 + n2) * L and n_cfg
+        # entries and only the D=1 histogram fills an (n_cfg, L) grid
         held = self.n_cfg * self.L + CHUNK * (
-            len(paths) * (self.D * N + 2) * self.L + self.n_cfg)
+            len(paths) * (D * N + 2) * self.L + self.n_cfg)
         if held > PAIR_BUDGET:
             raise BudgetExceeded("config x leaf grid exceeds the budget; "
                                  "reduce N, n_max, or the path depth")
+        self.N1 = N1 = N // 2
+        self.n1 = len(P1.atoms) ** N1
+        self.n2 = self.n_cfg // self.n1
+        halves = self.x3.reshape(self.n1, self.n2, D, N)
+        # the halves' configs (n1, D, N1) and (n2, D, N - N1)
+        self.u = np.ascontiguousarray(halves[:, 0, :, :N1])
+        self.v = np.ascontiguousarray(halves[0, :, :, N1:])
         self.roots = [sqrt_increments(q) for q in paths]
         self.zi = paths[0].zetas[1:]
         gram = np.einsum("cdn,cen->cde", self.x3, self.x3)
@@ -207,20 +265,13 @@ class _Session:
         self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
                                  self.overlap_self)
 
-    def buffers(self):
-        """A chunk's own work buffers: the config factor [x_flat, 1, base]
-        of shape (n_cfg, D*N + 2), whose last column assemble rewrites, and
-        an uninitialised (n_cfg, L) exponent matrix."""
-        return (np.hstack([self.x_flat, np.ones((self.n_cfg, 2))]),
-                np.empty((self.n_cfg, self.L)))
-
     def draw(self, rng, count):
         """The parts of `count` draws of all randomness, each with a
         leading sample axis: Hamiltonian values per config (count, n_cfg),
-        each path's leaf factor [sqrt(2) F^T ; leaf_logw ; 1] in factors
-        (count, paths, D*N + 2, L), with F the (L, D*N) field at the
-        leaves, and the coupling perturbation's matrices (count, N, N);
-        and the largest truncation ratio of the count cascades."""
+        leaf log-weights (count, L), each path's sqrt(2) F in fields
+        (count, paths, D, N, L), with F the field at the leaves, and the
+        coupling perturbation's matrices (count, N, N); and the largest
+        truncation ratio of the count cascades."""
         N, D, K, L = self.N, self.D, self.K, self.L
         terms = _draw_terms(self.model, N, rng, count)
         h_vals = _hamiltonian_values(terms, self.x_flat, count)
@@ -230,66 +281,125 @@ class _Session:
         # count cascades' leaves fill (count * L) rows in sample order
         zs = [rng.standard_normal((count * self.n_max ** level, D, N))
               for level in range(K + 1)]
-        factors = np.empty((count, len(self.roots), D * N + 2, L))
+        fields = np.empty((count, len(self.roots), D, N, L))
         for k, roots in enumerate(self.roots):
-            field = _leaf_field(roots, zs).reshape(count, L, D * N)
-            np.multiply(np.sqrt(2.0), field.transpose(0, 2, 1),
-                        out=factors[:, k, :-2])
-        factors[:, :, -2] = leaf_logw[:, None]
-        factors[:, :, -1] = 1.0
+            field = _leaf_field(roots, zs).reshape(count, L, D, N)
+            np.multiply(np.sqrt(2.0), field.transpose(0, 2, 3, 1),
+                        out=fields[:, k])
         w_hat = rng.standard_normal((count, N, N))
-        return _Draw(h_vals, factors, w_hat), ratio
+        return _Draw(h_vals, leaf_logw, fields, w_hat), ratio
 
-    def assemble(self, parts, path, t, t_hat, bufs):
-        """Exponent matrix (n_cfg, L) of one draw at (t, t_hat) on the
-        path of index `path`, written into the exponent buffer of bufs:
-        the config terms fill the config factor's last column and one
-        product with the path's leaf factor adds them to the field and
-        leaf terms."""
-        xaug, expo = bufs
+    def leaf_factors(self, parts, path):
+        """The field's terms on the path of index `path`, split by halves:
+        s1 = sqrt(2) X1 F1 of shape (count, n1, L), e2 = exp(sqrt(2) X2 F2
+        - m2) of shape (count, n2, L) with m2 its maximum per leaf, and
+        each leaf's log scale so far, leaf_logw + m2 (count, L)."""
+        count, D, N1, L = len(parts.fields), self.D, self.N1, self.L
+        f = parts.fields[:, path]
+        s1 = np.matmul(self.u.reshape(self.n1, D * N1),
+                       f[:, :, :N1].reshape(count, D * N1, L))
+        e2, m2 = _exp_shifted(np.matmul(self.v.reshape(self.n2, -1),
+                                        f[:, :, N1:].reshape(count, -1, L)))
+        return s1, e2, parts.leaf_logw + m2
+
+    def config_terms(self, parts, path, t, t_hat):
+        """Every term of the exponent that does not involve the leaf, per
+        sample and config (count, n1, n2)."""
+        N = self.N
         base = (self.logw_cfg + np.sqrt(2.0 * t) * parts.h_vals
-                - t * self.N * self.xi_self - self.qk_term[path])
+                - t * N * self.xi_self - self.qk_term[path])
+        base = base.reshape(-1, self.n1, self.n2)
         if t_hat > 0:
-            # sum_d x_cd^T W x_cd: one BLAS product, then a dot per config
-            N = self.N
-            xw = (self.x3.reshape(-1, N) @ parts.w_hat).reshape(self.n_cfg, -1)
-            hat_vals = np.einsum("ci,ci->c", self.x_flat, xw) / np.sqrt(N)
-            base -= t_hat * N * self.sq_self
-            base += np.sqrt(2.0 * t_hat) * hat_vals
-        xaug[:, -1] = base
-        return np.matmul(xaug, parts.factors[path], out=expo)
+            base -= t_hat * N * self.sq_self.reshape(self.n1, self.n2)
+            base += np.sqrt(2.0 * t_hat) * self._coupling(parts.w_hat)
+        return base
+
+    def _coupling(self, w_hat):
+        """sum_d x_d^T W x_d / sqrt(N) per sample and config (count, n1,
+        n2), in split form: with x_d = (u_d, v_d) by halves it is u^T W11
+        u + v^T W22 v + u^T (W12 + W21^T) v, so no (n_cfg, N) product of
+        a whole config is formed."""
+        count, D, N1 = len(w_hat), self.D, self.N1
+        u = self.u.reshape(self.n1 * D, N1)
+        v = self.v.reshape(self.n2 * D, -1)
+        quad1 = (np.matmul(u, w_hat[:, :N1, :N1]) * u).reshape(
+            count, self.n1, D * N1).sum(axis=2)
+        quad2 = (np.matmul(v, w_hat[:, N1:, N1:]) * v).reshape(
+            count, self.n2, -1).sum(axis=2)
+        m = w_hat[:, :N1, N1:] + w_hat[:, N1:, :N1].transpose(0, 2, 1)
+        cross = np.matmul(np.matmul(u, m).reshape(count, self.n1, -1),
+                          self.v.reshape(self.n2, -1).T)
+        cross += quad1[:, :, None]
+        cross += quad2[:, None, :]
+        return cross / np.sqrt(self.N)
+
+    def gibbs(self, parts, path, t, t_hat=0.0, leaf=None):
+        """log Z of every sample of a chunk at (t, t_hat) on the path of
+        index `path`, and its Gibbs weights, as a _Gibbs: each exponent is
+        base + leaf_logw + sqrt(2) x . F, and x . F is a sum over the two
+        halves' sites, so exp of it factors as cfg * e1 * e2 * leaf weight.
+        leaf takes the path's leaf_factors when the caller has them.
+
+        cfg = exp(base) is shifted by its maximum per row a, which e1
+        takes in before its own shift by the maximum per leaf, so each
+        leaf's factored sum is at least exp(-(spread of sqrt(2) X2 F2 over
+        the second half)): only a field spread of about 700 in one leaf
+        can underflow it."""
+        s1, e2, scale = leaf if leaf is not None else self.leaf_factors(
+            parts, path)
+        cfg = self.config_terms(parts, path, t, t_hat)
+        top_cfg = cfg.max(axis=2)
+        cfg -= top_cfg[:, :, None]
+        np.exp(cfg, out=cfg)
+        e1, m1 = _exp_shifted(s1 + top_cfg[:, :, None])
+        p1 = np.matmul(cfg, e2)
+        p1 *= e1
+        scale = scale + m1
+        top = scale.max(axis=1)
+        weight = np.exp(scale - top[:, None])
+        total = np.einsum("sl,sl->s", p1.sum(axis=1), weight)
+        bad = ~(np.isfinite(total) & (total > 0))
+        if bad.any():
+            raise ValidationError(
+                f"the factored partition sum of a sample is {total[bad][0]}:"
+                " the field's exponents spread past the float range within"
+                " one leaf, so reduce the path's final value")
+        weight /= total[:, None]
+        return _Gibbs(cfg, e1, e2, p1, weight, np.log(total) + top)
+
+    def leaf_spins(self, g):
+        """Gibbs spin sums of each leaf, sum_c g[c, l] x_c, shape (count,
+        D, N, L): X1^T (e1 * cfg e2) on the first half's sites and
+        X2^T (e2 * cfg^T e1) on the second's, scaled by the leaf weight."""
+        count, D, L = len(g.p1), self.D, self.L
+        p2 = np.matmul(g.cfg.transpose(0, 2, 1), g.e1)
+        p2 *= g.e2
+        spins = np.concatenate([
+            np.matmul(self.u.reshape(self.n1, -1).T, g.p1).reshape(
+                count, D, self.N1, L),
+            np.matmul(self.v.reshape(self.n2, -1).T, p2).reshape(
+                count, D, self.N - self.N1, L)], axis=2)
+        spins *= g.weight[:, None, None]
+        return spins
 
 
-def _log_z(expo, normalize=False):
-    """log sum exp of all entries of expo, computed in place: expo is left
-    holding exp(expo - max), or with normalize the Gibbs weights
-    exp(expo - log Z)."""
-    m = expo.max()
-    expo -= m
-    np.exp(expo, out=expo)
-    total = expo.sum()
-    if normalize:
-        expo *= 1.0 / total
-    return float(np.log(total) + m)
-
-
-def _crn_samples(session, make_stat, samples, seed, threads):
-    """stat(parts) of `samples` draws of session, in sample order, and the
-    largest truncation ratio drawn.  Each CHUNK-sample chunk draws its
+def _crn_samples(session, stat, samples, seed, threads):
+    """stat(parts) of every chunk of `samples` draws of session, a tuple
+    of arrays with a leading sample axis, each joined in sample order; and
+    the largest truncation ratio drawn.  Each CHUNK-sample chunk draws its
     samples at once from its own stream keyed by (seed, chunk start), so
     sessions run with one seed share common random numbers at any thread
-    count.  Each chunk calls make_stat() once for its stat, whose work
-    buffers are that chunk's alone: no two threads ever write to one
+    count; stat allocates what it works in, so no two threads share a
     buffer."""
 
     def one_chunk(s0):
         parts, ratio = session.draw(node_rng(seed, 5, s0),
                                     min(CHUNK, samples - s0))
-        stat = make_stat()
-        return [stat(_Draw(*sample)) for sample in zip(*parts)], ratio
+        return stat(parts), ratio
 
     blocks = chunked_thread_map(one_chunk, range(0, samples, CHUNK), threads)
-    return ([v for stats, _ in blocks for v in stats],
+    return ([np.concatenate(arrays)
+             for arrays in zip(*(stats for stats, _ in blocks))],
             max(ratio for _, ratio in blocks))
 
 
@@ -304,13 +414,10 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     check_times(t, t_hat)
     _check_run(model, N, samples, seed)
     session = _Session(model, P1, N, [q], n_max)
-
-    def make_stat():
-        bufs = session.buffers()
-        return lambda p: _log_z(session.assemble(p, 0, t, t_hat, bufs))
-
-    logz, ratio = _crn_samples(session, make_stat, samples, seed, threads)
-    vals = -np.array(logz) / N
+    (logz,), ratio = _crn_samples(
+        session, lambda parts: (session.gibbs(parts, 0, t, t_hat).log_z,),
+        samples, seed, threads)
+    vals = -logz / N
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / np.sqrt(samples)),
                       int(samples), int(seed), ratio)
@@ -335,10 +442,14 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     """Joint law of (overlap, common-ancestor level) of two replicas.
 
     Per disorder sample the double sum over configuration pairs and leaf
-    pairs is computed exactly through per-node Gibbs aggregates.  Level
-    masses and conditional overlap means are always produced; the full
-    scalar-overlap histogram (D=1 only) costs a configuration-pair
-    matmul per level and is opt-in.
+    pairs is computed exactly through per-node Gibbs aggregates, read off
+    the split factors of the partition function: each leaf's mass and
+    spin sum comes from two half-config products, and a node's is the sum
+    over its block of leaves.  Level masses and conditional overlap means
+    are always produced; the full scalar-overlap histogram (D=1 only)
+    forms each sample's (config, leaf) Gibbs weights by a broadcast
+    product of the factors, costs a configuration-pair matmul per level,
+    and is opt-in.
     """
     check_times(t, t_hat)
     _check_run(model, N, samples, seed)
@@ -354,49 +465,41 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
         r_values = np.unique(np.round(r_pair, 12))
         r_index = np.searchsorted(r_values, np.round(r_pair, 12)).ravel()
 
-    def make_stat():
-        bufs = session.buffers()
-        if with_histogram:
-            pair_bufs = np.empty((2, n_cfg, n_cfg))
+    def histogram(g):
+        # pair mass sharing at least j levels, minus that sharing j + 1,
+        # taken in two alternating pair buffers
+        count = len(g.p1)
+        hist = np.zeros((count, K + 1, len(r_values)))
+        grid = np.empty((session.n1, session.n2, session.L))
+        cur, prev = np.empty((2, n_cfg, n_cfg))
+        for s in range(count):
+            leaves = g.grid(s, grid)
+            for j in range(K, -1, -1):
+                gj = _node_sums(leaves, session.n_max ** j)
+                np.matmul(gj, gj.T, out=cur)
+                exact = cur if j == K else np.subtract(cur, prev, out=prev)
+                hist[s, j] = np.bincount(r_index, weights=exact.ravel(),
+                                         minlength=len(r_values))
+                cur, prev = prev, cur
+        return hist
 
-        def stat(parts):
-            g = session.assemble(parts, 0, t, t_hat, bufs)
-            _log_z(g, normalize=True)
-            # tier sums: per node at level j, total mass and spin vector
-            share_mass = np.zeros(K + 2)
-            share_mom = np.zeros((K + 2, D, D))
-            pair_mats = []
-            for j in range(K + 1):
-                nodes = session.n_max ** j
-                # (n_cfg, nodes); at the leaf level that is g itself
-                gj = g if j == K else g.reshape(n_cfg, nodes, -1).sum(axis=2)
-                tvec = gj.T @ session.x_flat                   # (nodes, D*N)
-                tv3 = tvec.reshape(nodes, D, N_sp)
-                share_mass[j] = float(np.sum(gj.sum(axis=0) ** 2))
-                share_mom[j] = np.einsum("bdn,ben->de", tv3, tv3)
-                pair_mats.append(gj)
-            hist = None
-            if with_histogram:
-                # pair mass sharing at least j levels, minus that sharing
-                # j + 1, taken in two alternating pair buffers
-                hist = np.zeros((K + 1, len(r_values)))
-                cur, prev = pair_bufs
-                for j in range(K, -1, -1):
-                    np.matmul(pair_mats[j], pair_mats[j].T, out=cur)
-                    exact = cur if j == K else np.subtract(cur, prev,
-                                                           out=prev)
-                    hist[j] = np.bincount(r_index, weights=exact.ravel(),
-                                          minlength=len(r_values))
-                    cur, prev = prev, cur
-            return (share_mass[:K + 1] - share_mass[1:],
-                    (share_mom[:K + 1] - share_mom[1:]) / N_sp, hist)
+    def stat(parts):
+        g = session.gibbs(parts, 0, t, t_hat)
+        mass, spins = g.leaf_mass(), session.leaf_spins(g)
+        # tier sums: per node at level j, total mass and spin vector
+        share_mass = np.zeros((len(mass), K + 2))
+        share_mom = np.zeros((len(mass), K + 2, D, D))
+        for j in range(K + 1):
+            nodes = session.n_max ** j
+            share_mass[:, j] = np.sum(_node_sums(mass, nodes) ** 2, axis=1)
+            tj = _node_sums(spins, nodes)
+            share_mom[:, j] = np.einsum("sdnb,senb->sde", tj, tj)
+        out = (share_mass[:, :K + 1] - share_mass[:, 1:],
+               (share_mom[:, :K + 1] - share_mom[:, 1:]) / N_sp)
+        return out + (histogram(g),) if with_histogram else out
 
-        return stat
-
-    results, ratio = _crn_samples(session, make_stat, samples, seed,
-                                  threads)
-    mass = np.array([r[0] for r in results])
-    moment = np.array([r[1] for r in results])
+    results, ratio = _crn_samples(session, stat, samples, seed, threads)
+    mass, moment = results[:2]
     n = len(mass)
     level_mass = mass.mean(axis=0)
     mass_se = mass.std(axis=0, ddof=1) / np.sqrt(n)
@@ -404,8 +507,7 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     cond = moment.mean(axis=0) / denom[:, None, None]
     per_sample_cond = moment / np.where(mass > 0, mass, 1.0)[:, :, None, None]
     cond_se = per_sample_cond.std(axis=0, ddof=1) / np.sqrt(n)
-    hist = ((r_values, sum(r[2] for r in results) / n) if with_histogram
-            else None)
+    hist = (r_values, results[2].sum(axis=0) / n) if with_histogram else None
     # |x_c . x_c'| <= |x_c| |x_c'| (Cauchy-Schwarz), with equality for the
     # config that puts the largest-norm atom at every site
     max_abs = float(np.max(np.sum(P1.atoms ** 2, axis=1)))
@@ -472,26 +574,23 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     q_lo = q.with_values([0.7 * v for v in q.values])
     session = _Session(model, P1, N, [q, q_alt, q_lo], n_max)
 
-    def make_stat():
-        bufs = session.buffers()
+    def stat(parts):
+        # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
+        # q_lo at t, then the Gibbs xi moment on q at t: replicas are
+        # conditionally independent given the randomness, so the pair
+        # expectation factors through the config marginals.  q's leaf
+        # factors serve its four times.
+        leaf = session.leaf_factors(parts, 0)
+        g = session.gibbs(parts, 0, t, leaf=leaf)
+        lz = [session.gibbs(parts, path, s,
+                            leaf=leaf if path == 0 else None).log_z
+              for path, s in ((0, t_lo), (0, t + h), (0, 0.0),
+                              (1, t_alt), (2, t))]
+        gibbs = [_xi_pair_moment(session, m) for m in g.marginal()]
+        return (np.stack([g.log_z, *lz, gibbs], axis=1),)
 
-        def stat(parts):
-            # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
-            # q_lo at t, then the Gibbs xi moment on q at t: replicas are
-            # conditionally independent given the randomness, so the pair
-            # expectation factors through the config marginals
-            g = session.assemble(parts, 0, t, 0.0, bufs)
-            lz_t = _log_z(g, normalize=True)
-            gibbs = _xi_pair_moment(session, g.sum(axis=1))
-            lz = [_log_z(session.assemble(parts, path, s, 0.0, bufs))
-                  for path, s in ((0, t_lo), (0, t + h), (0, 0.0),
-                                  (1, t_alt), (2, t))]
-            return [lz_t, *lz, gibbs]
-
-        return stat
-
-    vals, ratio = _crn_samples(session, make_stat, samples, seed, threads)
-    lz_t, lz_down, lz_up, lz0, lz_alt, lz_lo, gibbs = np.array(vals).T
+    (vals,), ratio = _crn_samples(session, stat, samples, seed, threads)
+    lz_t, lz_down, lz_up, lz0, lz_alt, lz_lo, gibbs = vals.T
     lz, lz0, lz_alt, lz_lo = lz_t / N, lz0 / N, lz_alt / N, lz_lo / N
     checks = {}
 

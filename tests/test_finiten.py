@@ -20,6 +20,7 @@ from hjparisi import (
 from hjparisi import cascade, finiten
 from hjparisi.model import ReferenceMeasure, xi_eval_batch
 from hjparisi.paths import path_new, sqrt_increments
+from hjparisi.util import logsumexp
 
 P1 = ising_measure(1)
 
@@ -231,8 +232,8 @@ def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
     with pytest.raises(BudgetExceeded):
         identity_checks(frobenius_square(1.0, 2), ising_measure(2), N=2,
                         t=0.1, q=q, samples=20, seed=0, n_max=4)
-    # one exponent grid of 2^14 configs x 4096 leaves fills the pair
-    # budget, and a chunk's draw holds three paths' leaf factors besides
+    # the pair budget counts one grid of 2^14 configs x 4096 leaves, which
+    # fills it, and three paths' leaf factors per sample besides
     with pytest.raises(BudgetExceeded, match="leaf grid"):
         identity_checks(sk(1.0), P1, N=14, t=0.1, q=Q2, samples=4, seed=0,
                         n_max=4096)
@@ -263,30 +264,23 @@ def test_estimators_reject_a_non_integer_count_or_seed_before_any_work(
         run()
 
 
-def _check_assembled(model, N, K, count):
-    # the one-product exponent of every sample of a chunk against its terms
-    # summed one by one, each rebuilt from a replay of the chunk's stream,
-    # on every path of an identity_checks session
-    D, n_max, t = model.D, 4, 0.1
-    q = path_new([0.0, 0.3, 0.6][:K + 1],
-                 [(0.1 + 0.1 * k) * np.eye(D) for k in range(K + 1)])
-    paths = [q] + [q.with_values([f * v for v in q.values])
-                   for f in (0.85, 0.7)]
-    session = finiten._Session(model, ising_measure(D), N, paths, n_max)
-    parts, _ = session.draw(np.random.default_rng(1), count)
-
+def _elementwise_exponents(session, model, paths, count, t, t_hats):
+    # each sample's (n_cfg, L) exponent base + leaf_logw + sqrt(2) x F^T
+    # per path and t_hat, its terms summed one by one, each rebuilt from a
+    # replay of the chunk's stream (seeded 1)
+    N, D, K, n_max = session.N, session.D, session.K, session.n_max
     rng = np.random.default_rng(1)
     coeffs = [(p, rng.standard_normal((count, N ** p, D ** p)) @ factor.T)
               for (p, _), factor in zip(model.terms, model.factors)]
-    leaf_logw, _ = cascade._grow_log_weights(q.zetas[1:], n_max, rng,
+    leaf_logw, _ = cascade._grow_log_weights(paths[0].zetas[1:], n_max, rng,
                                              batch=count)
     zs = [rng.standard_normal((count, n_max ** level, D, N))
           for level in range(K + 1)]
     w_hat = rng.standard_normal((count, N, N))
     x_flat, x3 = session.x_flat, session.x3
     gram = np.einsum("cdn,cen->cde", x3, x3)
-    bufs = session.buffers()
-    for i, sample in enumerate(zip(*parts)):
+    out = np.empty((count, len(paths), len(t_hats), len(x_flat), session.L))
+    for i in range(count):
         ham = finiten.DisorderSample(model, N, 0, tuple(
             (p, finiten._interleave(j[i:i + 1], p, N, D)[0]
              * N ** (-(p - 1) / 2.0)) for p, j in coeffs))
@@ -294,28 +288,69 @@ def _check_assembled(model, N, K, count):
         for path, qp in enumerate(paths):
             field = cascade._leaf_field(sqrt_increments(qp),
                                         [z[i] for z in zs])
-            field_term = x_flat @ field.reshape(n_max ** K, -1).T
-            for t_hat in (0.0, 0.05):
+            field_term = x_flat @ field.reshape(session.L, -1).T
+            for k, t_hat in enumerate(t_hats):
                 base = (session.logw_cfg
                         + np.sqrt(2 * t) * ham.evaluate(x_flat)
                         - t * N * xi_eval_batch(model, gram / N)
                         - np.einsum("cde,de->c", gram, qp.final_value)
                         - t_hat * np.einsum("cde,cde->c", gram, gram) / N
                         + np.sqrt(2 * t_hat) * hat)
-                want = (base[:, None] + leaf_logw[i][None, :]
-                        + np.sqrt(2.0) * field_term)
-                got = session.assemble(finiten._Draw(*sample), path, t,
-                                       t_hat, bufs)
-                assert got.shape == (2 ** (D * N), n_max ** K)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                out[i, path, k] = (base[:, None] + leaf_logw[i][None, :]
+                                   + np.sqrt(2.0) * field_term)
+    return out
+
+
+def _check_split(model, N, K, count):
+    # the split factors of every sample of a chunk, on every path of an
+    # identity_checks session, against the elementwise exponent grid:
+    # log Z, leaf masses, node spin sums, the config marginal and the
+    # histogram's Gibbs weights
+    D, n_max, t, t_hats = model.D, 4, 0.1, (0.0, 0.05)
+    q = path_new([0.0, 0.3, 0.6][:K + 1],
+                 [(0.1 + 0.1 * k) * np.eye(D) for k in range(K + 1)])
+    paths = [q] + [q.with_values([f * v for v in q.values])
+                   for f in (0.85, 0.7)]
+    session = finiten._Session(model, ising_measure(D), N, paths, n_max)
+    assert session.n_cfg == session.n1 * session.n2 == 2 ** (D * N)
+    parts, _ = session.draw(np.random.default_rng(1), count)
+    want = _elementwise_exponents(session, model, paths, count, t, t_hats)
+    grid = np.empty((session.n1, session.n2, session.L))
+    for path in range(len(paths)):
+        leaf = session.leaf_factors(parts, path)
+        for k, t_hat in enumerate(t_hats):
+            g = session.gibbs(parts, path, t, t_hat, leaf=leaf)
+            mass, spins = g.leaf_mass(), session.leaf_spins(g)
+            marginal = g.marginal()
+            for i in range(count):
+                expo = want[i, path, k]
+                log_z = logsumexp(expo)
+                weights = np.exp(expo - log_z)
+                close = dict(rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(g.log_z[i], log_z, **close)
+                np.testing.assert_allclose(mass[i], weights.sum(axis=0),
+                                           **close)
+                np.testing.assert_allclose(marginal[i],
+                                           weights.sum(axis=1), **close)
+                np.testing.assert_allclose(g.grid(i, grid), weights,
+                                           **close)
+                for j in range(K + 1):
+                    nodes = n_max ** j
+                    gj = weights.reshape(len(weights), nodes, -1).sum(axis=2)
+                    node_spins = (gj.T @ session.x_flat).reshape(nodes, D, N)
+                    np.testing.assert_allclose(
+                        finiten._node_sums(spins[i], nodes),
+                        node_spins.transpose(1, 2, 0), **close)
 
 
 @pytest.mark.parametrize("D", (1, 2))
 @pytest.mark.parametrize("K", (0, 1, 2))
 def test_assembled_exponent_is_the_elementwise_sum(D, K):
-    # a partial last chunk of three samples
-    _check_assembled(sk(1.0) if D == 1 else frobenius_square(1.0, 2), 3, K,
-                     count=3)
+    # the split factors assemble what the elementwise grid sums: a partial
+    # last chunk of three samples; at N=1 the first half has no sites
+    for N in (1, 2, 5):
+        _check_split(sk(1.0) if D == 1 else frobenius_square(1.0, 2), N,
+                     K, count=3)
 
 
 def test_assembled_exponent_holds_where_the_contraction_splits_a_chunk():
@@ -323,7 +358,29 @@ def test_assembled_exponent_holds_where_the_contraction_splits_a_chunk():
     # Hamiltonian contraction, so a full chunk is contracted in two blocks
     N = 10
     assert finiten.CONTRACT_DOUBLES // (2 ** N * N ** 2) < finiten.CHUNK
-    _check_assembled(pure_p(3), N, 1, count=finiten.CHUNK)
+    _check_split(pure_p(3), N, 1, count=finiten.CHUNK)
+
+
+def test_split_log_z_holds_at_low_temperature_and_a_strong_field():
+    # N=14 at t=200 with q_K = 20: every exponent is far from 0 and they
+    # spread over hundreds, and the factored log Z still matches the
+    # elementwise grid's
+    model, N, t = sk(1.0), 14, 200.0
+    q = scalar_path([0.0, 0.5], [10.0, 20.0])
+    session = finiten._Session(model, P1, N, [q], 4)
+    parts, _ = session.draw(np.random.default_rng(1), 2)
+    want = _elementwise_exponents(session, model, [q], 2, t, (0.0,))
+    got = session.gibbs(parts, 0, t).log_z
+    log_z = [logsumexp(want[i, 0, 0]) for i in range(2)]
+    np.testing.assert_allclose(got, log_z, rtol=1e-12, atol=0.0)
+
+
+def test_an_underflowing_partition_sum_is_an_error_not_minus_inf():
+    # a field whose exponents spread by thousands within one leaf leaves a
+    # factored sum of 0; it must raise, naming the cause
+    q = scalar_path([0.0, 0.5], [5e4, 1e5])
+    with pytest.raises(ValidationError, match="spread past the float range"):
+        free_energy_mc(sk(1.0), P1, 6, 1e5, q, 0.0, 4, 4, seed=1)
 
 
 def test_identity_check_fields_are_plain_floats():
@@ -336,60 +393,60 @@ def test_identity_check_fields_are_plain_floats():
 
 
 # Fixed-seed values of the sample kernel: each chunk draws its samples at
-# once from its own stream, and one product of a config factor [x, 1,
-# config terms] and a leaf factor [sqrt(2) field ; leaf log-weights ; 1]
-# builds each exponent matrix.  At t_hat = 0 the kernel's float operations
-# are fixed, so the values must agree bit for bit; at t_hat > 0 the
-# coupling term's sum may run in another order, so they agree to rounding.
+# once from its own stream, and log Z and the Gibbs sums of the whole
+# chunk come from the partition function's two half-config factors.  At
+# t_hat = 0 the kernel's float operations are fixed, so the values must
+# agree bit for bit; at t_hat > 0 the coupling term's sum may run in
+# another order, so they agree to rounding.
 QD2 = path_new([0.0, 0.5], [np.diag([0.1, 0.08]), np.diag([0.25, 0.3])])
 FE_INSTANCES = {
     "D1": (sk(1.0), P1, 4, Q2, 16),
     "D2": (frobenius_square(1.0, 2), ising_measure(2), 3, QD2, 8),
 }
 PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
-    ("D1", 0.0): (0.01940767635889129, 0.028478218270758648,
+    ("D1", 0.0): (0.019407676358891297, 0.028478218270758648,
                   0.008712998821111788),
     ("D1", 0.05): (0.01955671630268197, 0.03408057974841573,
                    0.008712998821111788),
-    ("D2", 0.0): (0.03437584971881771, 0.03488214247241256,
+    ("D2", 0.0): (0.03437584971881773, 0.03488214247241256,
                   0.04198985095345323),
-    ("D2", 0.05): (0.05104074831301299, 0.04350628391256703,
+    ("D2", 0.05): (0.051040748313012994, 0.043506283912567015,
                    0.04198985095345323),
 }
 PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
     0.0: dict(
-        level_mass=[0.46289840865720294, 0.537101591342797],
+        level_mass=[0.4628984086572029, 0.537101591342797],
         level_mass_stderr=[0.03566467559599999, 0.03566467559599999],
-        cond_mean=[0.10801539977291041, 0.36704493392165755],
-        cond_mean_stderr=[0.024609342041187903, 0.02012725537700685],
+        cond_mean=[0.10801539977291046, 0.3670449339216575],
+        cond_mean_stderr=[0.024609342041187914, 0.02012725537700685],
         joint_mass=[[0.01615010241840003, 0.05859722341531446,
-                     0.11376927642964992, 0.13690521455111462,
+                     0.11376927642964992, 0.13690521455111465,
                      0.10198796583519079, 0.03548862600753315],
-                    [0.004466335268106006, 0.02601927100892632,
-                     0.07973266351816749, 0.1528398456680235,
-                     0.17861649083112288, 0.09542698504845083]],
+                    [0.004466335268106006, 0.026019271008926325,
+                     0.07973266351816748, 0.15283984566802347,
+                     0.17861649083112288, 0.09542698504845085]],
         truncation_ratio=0.05133585379496952),
     0.05: dict(
-        level_mass=[0.4612393617566813, 0.5387606382433188],
+        level_mass=[0.46123936175668134, 0.5387606382433187],
         level_mass_stderr=[0.03664716397302451, 0.03664716397302451],
-        cond_mean=[0.12259265344936253, 0.39171452634573944],
-        cond_mean_stderr=[0.027738740124690908, 0.025668577453152232],
-        joint_mass=[[0.020989490538061116, 0.06148909607627969,
-                     0.10299911402914383, 0.12287687014058442,
-                     0.10608209194507379, 0.04680269902753846],
-                    [0.0061122355831280265, 0.028324907913457882,
+        cond_mean=[0.12259265344936243, 0.39171452634573967],
+        cond_mean_stderr=[0.027738740124690887, 0.025668577453152226],
+        joint_mass=[[0.020989490538061126, 0.06148909607627969,
+                     0.10299911402914383, 0.12287687014058439,
+                     0.10608209194507379, 0.04680269902753847],
+                    [0.006112235583128026, 0.028324907913457893,
                      0.07522502008189838, 0.1372020700888865,
-                     0.17536066505733194, 0.11653573951861596]],
+                     0.17536066505733192, 0.11653573951861593]],
         truncation_ratio=0.05133585379496952),
 }
 PINNED_CHECKS = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=16, seed 2
-    "lipschitz": (True, 0.006663344157409545, 0.08000000000000002,
+    "lipschitz": (True, 0.006663344157409518, 0.08000000000000002,
                   0.006291602624771607),
-    "dt_identity": (True, 0.3902461410061473, 0.43252388247318996,
-                    0.1210899705230858),
-    "monotone": (True, 0.026200157704483445, 0.0,
-                 0.00524045864662201),
-    "initial": (True, 0.07206975886597858, 0.03341942319313077,
+    "dt_identity": (True, 0.39024614100614763, 0.43252388247318996,
+                    0.12108997052308593),
+    "monotone": (True, 0.0262001577044835, 0.0,
+                 0.005240458646622007),
+    "initial": (True, 0.07206975886597856, 0.03341942319313077,
                 0.019357632552503782),
 }
 
@@ -431,14 +488,14 @@ def test_overlap_law_histogram_matches_pinned_values(threads):
 
 # identity_checks on a D=2 instance, from the same kernel
 PINNED_CHECKS_D2 = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=8, seed 2
-    "lipschitz": (True, "0x1.e51fa64ee9424p-6", "0x1.6c1b31e94e076p-4",
-                  "0x1.6f61f36e70814p-8"),
-    "dt_identity": (True, "0x1.44f7e149282a2p-1", "0x1.6c1a9069da63bp-2",
-                    "0x1.03e5d1caf4081p-3"),
-    "monotone": (True, "0x1.74847b768db00p-10", "0x0.0p+0",
-                 "0x1.1290c2687598fp-8"),
-    "initial": (True, "-0x1.50c422ced43dfp-7", "0x1.14cf85bde9148p-6",
-                "0x1.07ecbc2672b6cp-6"),
+    "lipschitz": (True, "0x1.e51fa64ee9420p-6", "0x1.6c1b31e94e076p-4",
+                  "0x1.6f61f36e7081cp-8"),
+    "dt_identity": (True, "0x1.44f7e14928290p-1", "0x1.6c1a9069da63cp-2",
+                    "0x1.03e5d1caf4079p-3"),
+    "monotone": (True, "0x1.74847b768db40p-10", "0x0.0p+0",
+                 "0x1.1290c26875993p-8"),
+    "initial": (True, "-0x1.50c422ced43d8p-7", "0x1.14cf85bde9148p-6",
+                "0x1.07ecbc2672b6bp-6"),
 }
 
 
@@ -464,9 +521,10 @@ def test_identity_checks_match_pinned_values(threads):
 
 
 def test_overlap_law_and_identity_checks_are_thread_invariant():
-    # each chunk of draws writes only to its own work buffers, so the
-    # results are the same at every worker count, bit for bit
-    laws, reports = [], []
+    # each chunk of draws allocates its own work arrays, so the results
+    # are the same at every worker count, bit for bit; the free energy is
+    # checked where the coupling term is formed, on a D=2 path
+    laws, reports, estimates = [], [], []
     for threads in (1, 2, 3):
         law = gibbs_overlap_law(sk(1.0), P1, 6, 0.1, Q2, 0.05, 64, 16,
                                 seed=4, with_histogram=True, threads=threads)
@@ -476,10 +534,15 @@ def test_overlap_law_and_identity_checks_are_thread_invariant():
         rep = identity_checks(sk(1.0), P1, 4, 0.1, Q2, 64, seed=4,
                               n_max=16, threads=threads)
         reports.append((rep.checks, rep.truncation_ratio))
+        est = free_energy_mc(frobenius_square(1.0, 2), ising_measure(2), 4,
+                             0.1, QD2, 0.05, 64, 8, seed=4, threads=threads)
+        estimates.append(tuple(v.hex() for v in (
+            est.mean, est.stderr, est.truncation_ratio)))
     for other in laws[1:]:
         for a, b in zip(laws[0], other):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
     assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
 
 def test_validation_comes_before_enumeration(monkeypatch):
@@ -521,7 +584,7 @@ def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
 # free_energy_mc on a depth-0 path, from the same kernel
 PINNED_FE_FLAT = {   # t_hat: (mean, stderr, truncation_ratio)
     0.0: ("0x1.a0e722a5f266dp-5", "0x1.fd0ce7c936ccdp-6", "0x0.0p+0"),
-    0.05: ("0x1.5039618f6fb88p-4", "0x1.1744a7d30cf81p-5", "0x0.0p+0"),
+    0.05: ("0x1.5039618f6fb8ap-4", "0x1.1744a7d30cf81p-5", "0x0.0p+0"),
 }
 
 
