@@ -22,7 +22,11 @@ perturbation's too) staying in base.  For a whole chunk, log Z is one
 (n1, n2) x (n2, L) product per sample and a small sum over leaves, and
 the Gibbs aggregates (leaf masses, leaf spin sums, the config marginal)
 come from the same factors; only the D=1 overlap histogram forms the
-(config, leaf) weights, by a broadcast product.
+(config, leaf) weights, by a broadcast product.  For a measure on two
+atoms +-a the overlap of two configs is a function of their Hamming
+distance, so the histogram is read off the weights' Walsh-Hadamard
+spectrum (the MacWilliams identity) with no config-pair array; any other
+D=1 measure bins the (n_cfg, n_cfg) pair matrices.
 """
 
 from __future__ import annotations
@@ -242,7 +246,8 @@ class _Session:
         # the pair budget over-counts what a chunk holds: it counts one
         # (n_cfg, L) grid and (D*N + 2) * L entries per path and sample,
         # where a sample keeps split factors of (n1 + n2) * L and n_cfg
-        # entries and only the D=1 histogram fills an (n_cfg, L) grid
+        # entries and only the D=1 histogram fills (n_cfg, L) grids: the
+        # weights and, for a +-a measure, their transform
         held = self.n_cfg * self.L + CHUNK * (
             len(paths) * (D * N + 2) * self.L + self.n_cfg)
         if held > PAIR_BUDGET:
@@ -437,40 +442,23 @@ class OverlapLaw:
     truncation_ratio: float = 0.0
 
 
-def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
-                      with_histogram=False, threads=None) -> OverlapLaw:
-    """Joint law of (overlap, common-ancestor level) of two replicas.
-
-    Per disorder sample the double sum over configuration pairs and leaf
-    pairs is computed exactly through per-node Gibbs aggregates, read off
-    the split factors of the partition function: each leaf's mass and
-    spin sum comes from two half-config products, and a node's is the sum
-    over its block of leaves.  Level masses and conditional overlap means
-    are always produced; the full scalar-overlap histogram (D=1 only)
-    forms each sample's (config, leaf) Gibbs weights by a broadcast
-    product of the factors, costs a configuration-pair matmul per level,
-    and is opt-in.
-    """
-    check_times(t, t_hat)
-    _check_run(model, N, samples, seed)
-    if with_histogram:
-        if model.D != 1:
-            raise ValidationError("overlap histogram is only kept for D=1")
-        if len(P1.atoms) ** (2 * N) > PAIR_BUDGET:
-            raise BudgetExceeded("configuration pair grid exceeds the budget")
-    session = _Session(model, P1, N, [q], n_max)
-    K, D, n_cfg, N_sp = session.K, session.D, session.n_cfg, session.N
-    if with_histogram:
-        r_pair = (session.x_flat @ session.x_flat.T) / N_sp
-        r_values = np.unique(np.round(r_pair, 12))
-        r_index = np.searchsorted(r_values, np.round(r_pair, 12)).ravel()
+def _pair_histogram(session):
+    """The scalar overlap values and a chunk statistic that gives each
+    sample's joint (level, overlap) mass, shape (count, K+1, values), for
+    any D=1 measure: per level j the (n_cfg, n_cfg) matrix of pair mass
+    sharing a level-j node, minus the next level's, binned by the pair's
+    overlap."""
+    K, n_cfg, L = session.K, session.n_cfg, session.L
+    r_pair = np.round(session.x_flat @ session.x_flat.T / session.N, 12)
+    r_values = np.unique(r_pair)
+    r_index = np.searchsorted(r_values, r_pair).ravel()
 
     def histogram(g):
         # pair mass sharing at least j levels, minus that sharing j + 1,
         # taken in two alternating pair buffers
         count = len(g.p1)
         hist = np.zeros((count, K + 1, len(r_values)))
-        grid = np.empty((session.n1, session.n2, session.L))
+        grid = np.empty((session.n1, session.n2, L))
         cur, prev = np.empty((2, n_cfg, n_cfg))
         for s in range(count):
             leaves = g.grid(s, grid)
@@ -482,6 +470,111 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
                                          minlength=len(r_values))
                 cur, prev = prev, cur
         return hist
+
+    return r_values, histogram
+
+
+def _sylvester(bits):
+    """The Sylvester Hadamard matrix of order 2**bits, entry (i, j) =
+    (-1)**popcount(i & j)."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])
+    return h
+
+
+def _krawtchouk(N):
+    """(N+1, N+1) Krawtchouk matrix: entry (d, w) is the coefficient of
+    z**d in (1 - z)**w (1 + z)**(N - w), the sum of (-1)**(S . s) over
+    the words s of weight d, for any word S of weight w."""
+    k = np.empty((N + 1, N + 1))
+    for w in range(N + 1):
+        poly = np.ones(1)
+        for sign in [-1.0] * w + [1.0] * (N - w):
+            poly = np.convolve(poly, [1.0, sign])
+        k[:, w] = poly
+    return k
+
+
+def _spectral_histogram(session):
+    """_pair_histogram for a measure on two atoms +-a, with no config-pair
+    array.  Two configs' overlap is a**2 (N - 2d) / N with d their Hamming
+    distance, so the pair law is a distance law, and the MacWilliams
+    identity gives it from the Walsh-Hadamard spectrum: for weights f on
+    configs, the pair mass at distance d is sum_w K_d(w) B(w) / n_cfg,
+    with B(w) the sum of squared transforms fhat(S)**2 over the words S
+    of weight w.  The transform over configs (a, b) is H_N1 on the
+    first half and H_(N-N1) on the second, in the site-major order of
+    `_enumerate_configs`, so S's weight is its index's popcount; node
+    sums commute with it, so it is taken once on the leaves."""
+    N, K, L, n_cfg = session.N, session.K, session.L, session.n_cfg
+    n1, n2 = session.n1, session.n2
+    # every distance is taken by a pair holding config 0: the config
+    # 2**d - 1 differs from it in its last d sites
+    r_row = np.round(session.x_flat @ session.x_flat[0] / N, 12)
+    r_values = np.unique(r_row)
+    r_index = np.searchsorted(r_values, r_row[(1 << np.arange(N + 1)) - 1])
+    kraw = _krawtchouk(N)
+    to_r = np.zeros((N + 1, len(r_values)))     # (weight class, overlap)
+    for d in range(N + 1):
+        to_r[:, r_index[d]] += kraw[d] / n_cfg
+    popcount = (np.arange(n_cfg)[:, None] >> np.arange(N) & 1).sum(axis=1)
+    classes = (popcount[:, None] == np.arange(N + 1)).astype(float)
+    h1, h2 = _sylvester(session.N1), _sylvester(N - session.N1)
+
+    def histogram(g):
+        count = len(g.p1)
+        power = np.empty((count, K + 1, n_cfg))
+        grid, spec = np.empty((2, n1, n2, L))
+        for s in range(count):
+            g.grid(s, grid)
+            np.matmul(h1, grid.reshape(n1, -1), out=spec.reshape(n1, -1))
+            np.matmul(h2, spec, out=grid)
+            leaves = grid.reshape(n_cfg, L)
+            for j in range(K + 1):
+                fj = _node_sums(leaves, session.n_max ** j)
+                np.einsum("cn,cn->c", fj, fj, out=power[s, j])
+        # spectral power per weight class sharing at least j levels,
+        # minus that sharing j + 1, then mapped to overlaps
+        by_class = power @ classes
+        exact = by_class.copy()
+        exact[:, :K] -= by_class[:, 1:]
+        return exact @ to_r
+
+    return r_values, histogram
+
+
+def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
+                      with_histogram=False, threads=None) -> OverlapLaw:
+    """Joint law of (overlap, common-ancestor level) of two replicas.
+
+    Per disorder sample the double sum over configuration pairs and leaf
+    pairs is computed exactly through per-node Gibbs aggregates, read off
+    the split factors of the partition function: each leaf's mass and
+    spin sum comes from two half-config products, and a node's is the sum
+    over its block of leaves.  Level masses and conditional overlap means
+    are always produced; the full scalar-overlap histogram (D=1 only) is
+    opt-in and forms each sample's (config, leaf) Gibbs weights by a
+    broadcast product of the factors.  For a measure on two atoms +-a
+    (`ising_measure(1)` among them) it is read off their Walsh-Hadamard
+    spectrum, two half-config matmuls per sample and a sum of squares per
+    level (`_spectral_histogram`); any other D=1 measure costs a
+    configuration-pair matmul per level (`_pair_histogram`).
+    """
+    check_times(t, t_hat)
+    _check_run(model, N, samples, seed)
+    if with_histogram:
+        if model.D != 1:
+            raise ValidationError("overlap histogram is only kept for D=1")
+        if len(P1.atoms) ** (2 * N) > PAIR_BUDGET:
+            raise BudgetExceeded("configuration pair grid exceeds the budget")
+    session = _Session(model, P1, N, [q], n_max)
+    K, D, N_sp = session.K, session.D, session.N
+    if with_histogram:
+        a = P1.atoms
+        sign_pair = a.shape == (2, 1) and a[0, 0] == -a[1, 0] != 0
+        r_values, histogram = (_spectral_histogram if sign_pair
+                               else _pair_histogram)(session)
 
     def stat(parts):
         g = session.gibbs(parts, 0, t, t_hat)

@@ -1,5 +1,7 @@
 """Finite-size oracle: exact enumeration over configs, MC over disorder."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,21 +134,27 @@ def test_overlap_law_and_identity_checks_reject_too_few_samples(monkeypatch):
 
 
 def test_overlap_law_masses_and_histogram():
-    law = gibbs_overlap_law(sk(1.0), P1, N=6, t=0.1, q=Q2, t_hat=0.02,
-                            samples=250, n_max=16, seed=9,
-                            with_histogram=True)
-    assert law.level_mass.shape == (2,)
-    assert law.level_mass.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(law.level_mass >= 0.0)
-    assert law.max_abs_overlap <= 1.0 + 1e-12
-    r_values, hist = law.scalar_hist
-    assert np.all(np.abs(r_values) <= 1.0 + 1e-12)
-    # per-level histogram mass reproduces the level masses ...
-    np.testing.assert_allclose(hist.sum(axis=1), law.level_mass, atol=1e-9)
-    # ... and its conditional first moment matches cond_mean
-    for k in range(2):
-        m = float(hist[k] @ r_values) / law.level_mass[k]
-        assert m == pytest.approx(law.cond_mean[k][0, 0], abs=1e-9)
+    # Ising takes the spectral histogram; a three-atom D=1 measure keeps
+    # the config-pair one
+    P3 = ReferenceMeasure(np.array([[1.0], [-0.5], [0.2]]),
+                          np.array([0.5, 0.3, 0.2]))
+    for P, N, samples in ((P1, 6, 250), (P3, 5, 64)):
+        law = gibbs_overlap_law(sk(1.0), P, N=N, t=0.1, q=Q2, t_hat=0.02,
+                                samples=samples, n_max=16, seed=9,
+                                with_histogram=True)
+        assert law.level_mass.shape == (2,)
+        assert law.level_mass.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(law.level_mass >= 0.0)
+        assert law.max_abs_overlap <= 1.0 + 1e-12
+        r_values, hist = law.scalar_hist
+        assert np.all(np.abs(r_values) <= 1.0 + 1e-12)
+        # per-level histogram mass reproduces the level masses ...
+        np.testing.assert_allclose(hist.sum(axis=1), law.level_mass,
+                                   atol=1e-9)
+        # ... and its conditional first moment matches cond_mean
+        for k in range(2):
+            m = float(hist[k] @ r_values) / law.level_mass[k]
+            assert m == pytest.approx(law.cond_mean[k][0, 0], abs=1e-9)
 
 
 def test_overlap_law_histogram_guard():
@@ -155,6 +163,57 @@ def test_overlap_law_histogram_guard():
         gibbs_overlap_law(frobenius_square(1.0, 2), ising_measure(2), N=3,
                           t=0.1, q=q, t_hat=0.0, samples=50, n_max=8,
                           seed=0, with_histogram=True)
+
+
+PM07 = ReferenceMeasure(np.array([[0.7], [-0.7]]), np.array([0.3, 0.7]))
+
+
+@pytest.mark.parametrize("measure", (P1, PM07), ids=("ising", "pm07"))
+@pytest.mark.parametrize("K", (0, 1, 2))
+def test_spectral_histogram_is_the_explicit_pair_sum(measure, K):
+    # the Walsh-Hadamard histogram of a +-a measure against the pair sum
+    # it stands for: per level j, the products of two configs' level-j
+    # node sums, minus the next level's, summed over the config pairs of
+    # each overlap x_c x_c' / N; at N=1 the first half has no sites
+    n_max, count = 3, 3
+    q = scalar_path([0.0, 0.3, 0.6][:K + 1], [0.1, 0.2, 0.3][:K + 1])
+    for N in (1, 4, 7):
+        session = finiten._Session(sk(1.0), measure, N, [q], n_max)
+        parts, _ = session.draw(np.random.default_rng(N), count)
+        r_values, histogram = finiten._spectral_histogram(session)
+        x = session.x_flat
+        bins = np.abs(x @ x.T / N - r_values[:, None, None]) < 1e-9
+        assert np.all(bins.sum(axis=0) == 1)
+        grid = np.empty((session.n1, session.n2, session.L))
+        for t_hat in (0.0, 0.05):
+            g = session.gibbs(parts, 0, 0.1, t_hat)
+            got = histogram(g)
+            assert got.shape == (count, K + 1, len(r_values))
+            for s in range(count):
+                leaves = g.grid(s, grid)
+                shared = [(gj @ gj.T) for gj in (
+                    leaves.reshape(len(x), n_max ** j, -1).sum(axis=2)
+                    for j in range(K + 1))] + [0.0]
+                want = [[np.sum((shared[j] - shared[j + 1])[b])
+                         for b in bins] for j in range(K + 1)]
+                np.testing.assert_allclose(got[s], want, rtol=0.0,
+                                           atol=1e-12)
+
+
+def test_sign_pair_histogram_forms_no_config_pair_array():
+    # 2^11 configurations: one (n_cfg, n_cfg) array of doubles is 32 MiB
+    def run():
+        return gibbs_overlap_law(sk(1.0), P1, 11, 0.1, Q2, 0.0, samples=4,
+                                 n_max=4, seed=0, with_histogram=True)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_identity_checks_pass_on_small_instance():
@@ -419,11 +478,11 @@ PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
         level_mass_stderr=[0.03566467559599999, 0.03566467559599999],
         cond_mean=[0.10801539977291046, 0.3670449339216575],
         cond_mean_stderr=[0.024609342041187914, 0.02012725537700685],
-        joint_mass=[[0.01615010241840003, 0.05859722341531446,
-                     0.11376927642964992, 0.13690521455111465,
+        joint_mass=[[0.01615010241840003, 0.05859722341531447,
+                     0.11376927642964992, 0.13690521455111457,
                      0.10198796583519079, 0.03548862600753315],
-                    [0.004466335268106006, 0.026019271008926325,
-                     0.07973266351816748, 0.15283984566802347,
+                    [0.004466335268106004, 0.02601927100892632,
+                     0.07973266351816752, 0.1528398456680235,
                      0.17861649083112288, 0.09542698504845085]],
         truncation_ratio=0.05133585379496952),
     0.05: dict(
