@@ -53,8 +53,15 @@ def _load_model(path):
     return mdl.load_model_dict(_load_json(path))
 
 
-def _load_path(path):
-    return path_from_json_dict(_load_json(path))
+def _load_problem(model, path):
+    """The --model file's model and measure, and the --path file's path,
+    which must have the model's dimension."""
+    m, p1 = _load_model(model)
+    q = path_from_json_dict(_load_json(path))
+    if q.D != m.D:
+        raise ValidationError(f"dimensions differ: the model has D={m.D}, "
+                              f"the path D={q.D}")
+    return m, p1, q
 
 
 def _write(text, out):
@@ -194,9 +201,8 @@ def _psi_command(name, grad):
                                 "samples (at least 8)"),
               _seed_option("--mc-seed"), threads_option, out_option)
     def command(model, path, nodes, mc_samples, mc_seed, threads, out):
-        _, p1 = _load_model(model)
-        res, g = ob._psi_pass(p1, _load_path(path),
-                              _quad(nodes, mc_samples, mc_seed),
+        _, p1, q = _load_problem(model, path)
+        res, g = ob._psi_pass(p1, q, _quad(nodes, mc_samples, mc_seed),
                               threads=threads, grad=grad)
         result = {"method": res.method, "error_estimate": res.error_estimate}
         if grad:
@@ -242,8 +248,7 @@ _solver_options = _options(
           nodes_option, threads_option, out_option)
 def crit_solve(model, path, that, tol, damping, max_iters, t, refine, nodes,
                threads, out):
-    m, p1 = _load_model(model)
-    q = _load_path(path)
+    m, p1, q = _load_problem(model, path)
     for _ in range(refine):
         q = _split_blocks(q)
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
@@ -268,8 +273,7 @@ def _split_blocks(q):
           nodes_option, threads_option, out_option)
 def crit_sweep(model, path, that, tol, damping, max_iters, t_grid, nodes,
                threads, out):
-    m, p1 = _load_model(model)
-    q = _load_path(path)
+    m, p1, q = _load_problem(model, path)
     opts = cp.SolverOptions(damping=damping, tol=tol, max_iters=max_iters)
     points = cp.continuation(m, p1, t_grid, that, q, opts, _quad(nodes),
                              threads=threads)
@@ -302,8 +306,8 @@ _variational_options = _options(model_option, path_option, t_option)
                        help="comma-separated interior breakpoints for p"),
           opt_nodes_option, threads_option, out_option)
 def parisi_sup_cmd(model, path, t, partition, nodes, threads, out):
-    m, p1 = _load_model(model)
-    res = var.parisi_sup(m, p1, t, _load_path(path), partition=partition,
+    m, p1, q = _load_problem(model, path)
+    res = var.parisi_sup(m, p1, t, q, partition=partition,
                          quad=_quad(nodes), threads=threads)
     _emit({"value": res.value, "argmax": path_to_json_dict(res.argmax_path),
            "optimizer_iters": res.optimizer_iters,
@@ -314,8 +318,8 @@ def parisi_sup_cmd(model, path, t, partition, nodes, threads, out):
 @_variational_options
 @_options(opt_nodes_option, threads_option, out_option)
 def parisi_hopflax(model, path, t, nodes, threads, out):
-    m, p1 = _load_model(model)
-    value = var.hopf_lax_value(m, p1, t, _load_path(path), quad=_quad(nodes),
+    m, p1, q = _load_problem(model, path)
+    value = var.hopf_lax_value(m, p1, t, q, quad=_quad(nodes),
                                threads=threads)
     _emit({"value": value}, out)
 
@@ -378,9 +382,9 @@ _finiten_options = _options(
 @_finiten_options
 @_options(threads_option, out_option)
 def finiten_fe(model, path, t, that, N, samples, nmax, seed, threads, out):
-    m, p1 = _load_model(model)
-    est = fn.free_energy_mc(m, p1, N, t, _load_path(path), that, samples, nmax,
-                            seed, threads=threads)
+    m, p1, q = _load_problem(model, path)
+    est = fn.free_energy_mc(m, p1, N, t, q, that, samples, nmax, seed,
+                            threads=threads)
     _emit_csv("estimate,stderr,n_samples,truncation_ratio",
               ["%r,%r,%d,%r" % (est.mean, est.stderr, est.n_samples,
                                 est.truncation_ratio)], out)
@@ -392,10 +396,9 @@ def finiten_fe(model, path, t, that, N, samples, nmax, seed, threads, out):
           threads_option, out_option)
 def finiten_overlap(model, path, t, that, N, samples, nmax, seed, histogram,
                     threads, out):
-    m, p1 = _load_model(model)
-    law = fn.gibbs_overlap_law(m, p1, N, t, _load_path(path), that, samples,
-                               nmax, seed, with_histogram=histogram,
-                               threads=threads)
+    m, p1, q = _load_problem(model, path)
+    law = fn.gibbs_overlap_law(m, p1, N, t, q, that, samples, nmax, seed,
+                               with_histogram=histogram, threads=threads)
     result = {
         "levels": law.levels.tolist(),
         "level_mass": law.level_mass.tolist(),
@@ -419,9 +422,9 @@ def finiten_check(model, path, t, that, N, samples, nmax, seed, threads, out):
     if that != 0.0:
         raise ValidationError("finiteN check runs at t_hat = 0 only; "
                               "--that must be 0")
-    m, p1 = _load_model(model)
-    report = fn.identity_checks(m, p1, N, t, _load_path(path), samples, seed,
-                                n_max=nmax, threads=threads)
+    m, p1, q = _load_problem(model, path)
+    report = fn.identity_checks(m, p1, N, t, q, samples, seed, n_max=nmax,
+                                threads=threads)
     result = {name: {"passed": c.passed, "lhs": c.lhs, "rhs": c.rhs,
                      "sigma": c.sigma, "note": c.note}
               for name, c in report.checks.items()}

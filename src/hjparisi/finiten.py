@@ -26,7 +26,9 @@ come from the same factors; only the D=1 overlap histogram forms the
 atoms +-a the overlap of two configs is a function of their Hamming
 distance, so the histogram is read off the weights' Walsh-Hadamard
 spectrum (the MacWilliams identity) with no config-pair array; any other
-D=1 measure bins the (n_cfg, n_cfg) pair matrices.
+D=1 measure bins the (n_cfg, n_cfg) pair matrices.  Each estimator's
+first call, `_check_run`, makes all its input checks and both budgets
+before any work, counting the arrays of the path the run takes.
 """
 
 from __future__ import annotations
@@ -112,13 +114,57 @@ def _hamiltonian_values(terms, x_flat, count):
     return out
 
 
-def _check_run(model, N, samples, seed):
-    """Every estimator's checks of its integers, made before any work."""
+def _sign_pair(P1):
+    """Whether P1 sits on two atoms +-a, `_spectral_histogram`'s case."""
+    a = P1.atoms
+    return a.shape == (2, 1) and a[0, 0] == -a[1, 0] != 0
+
+
+def _check_run(model, P1, N, paths, n_max, samples, seed, t, t_hat=0.0,
+               histogram=False):
+    """Every estimator's input checks and budgets, made before any work;
+    returns the doubles one full chunk holds on the path the run takes."""
+    check_times(t, t_hat)
     _check_size(model, N)
     _check_int("samples", samples)
     if samples < 2:
         raise ValidationError("samples must be >= 2")
     _check_seed("seed", seed)
+    D, K = model.D, paths[0].K
+    if P1.D != D or any(q.D != D for q in paths):
+        raise ValidationError(f"dimensions differ: the model has D={D}, the"
+                              f" measure D={P1.D}, the path D={paths[0].D}")
+    # as sample_cascade: a depth-0 path has one leaf whatever n_max is
+    _check_int("n_max", n_max)
+    if K > 0 and n_max < 2:
+        raise ValidationError("n_max must be at least 2")
+    if histogram and D != 1:
+        raise ValidationError("overlap histogram is only kept for D=1")
+    n_at = len(P1.atoms)
+    n_cfg, n1, dn, L = n_at ** N, n_at ** (N // 2), D * N, int(n_max) ** K
+    if n_cfg > CONFIG_BUDGET:
+        raise BudgetExceeded(f"{n_at}^{N} configurations exceed the "
+                             f"enumeration budget {CONFIG_BUDGET}")
+    # the config arrays; the Hamiltonian and config terms; under 2 L node
+    # Gaussians per site; each path's fields and split factors; per degree
+    # the coefficient tensors and the contraction block and its reduction;
+    # identity_checks' (the run of compared paths) Gibbs marginals and xi
+    # moment tensor; the histogram's spectral buffers or pair matrices
+    checks = len(paths) > 1
+    held = n_cfg * (dn + 2 * D * D + 3 + len(paths)) + CHUNK * (
+        (3 + 2 * checks) * n_cfg
+        + L * (2 * dn + len(paths) * (dn + 2 * (n1 + n_cfg // n1))))
+    for p, _ in model.terms:
+        width = n_cfg * dn ** (p - 1)
+        held += (3 * CHUNK * dn ** p + checks * width * dn
+                 + 2 * min(CHUNK * width, max(CONTRACT_DOUBLES, width)))
+    if histogram:
+        held += (n_cfg * (2 * L + N + 1 + CHUNK * (K + 1)) if _sign_pair(P1)
+                 else 4 * n_cfg ** 2 + n_cfg * L)
+    if held > PAIR_BUDGET:
+        raise BudgetExceeded(f"one chunk of {CHUNK} samples holds {held} "
+                             f"doubles, over the budget {PAIR_BUDGET}")
+    return held
 
 
 def _interleave(j, p, N, D):
@@ -161,9 +207,6 @@ def _enumerate_configs(P1, N):
     atoms = np.asarray(P1.atoms, dtype=float)
     n_at, D = atoms.shape
     n_cfg = n_at ** N
-    if n_cfg > CONFIG_BUDGET:
-        raise BudgetExceeded(f"{n_at}^{N} configurations exceed the "
-                             f"enumeration budget {CONFIG_BUDGET}")
     idx = np.indices((n_at,) * N).reshape(N, n_cfg).T
     x = atoms[idx]                        # (n_cfg, N, D)
     x = np.ascontiguousarray(np.swapaxes(x, 1, 2))   # (n_cfg, D, N)
@@ -231,28 +274,12 @@ class _Session:
     0 is the most significant (`_enumerate_configs`)."""
 
     def __init__(self, model, P1, N, paths, n_max):
-        if any(q.D != model.D for q in paths):
-            raise ValidationError("path and model dimensions differ")
         K = paths[0].K
-        # as sample_cascade: a depth-0 path has one leaf whatever n_max is
-        _check_int("n_max", n_max)
-        if K > 0 and n_max < 2:
-            raise ValidationError("n_max must be at least 2")
         self.model, self.N, self.n_max = model, N, int(n_max)
         self.x_flat, self.x3, self.logw_cfg = _enumerate_configs(P1, N)
         self.n_cfg = len(self.x_flat)
         self.D = D = model.D
         self.K, self.L = K, self.n_max ** K
-        # the pair budget over-counts what a chunk holds: it counts one
-        # (n_cfg, L) grid and (D*N + 2) * L entries per path and sample,
-        # where a sample keeps split factors of (n1 + n2) * L and n_cfg
-        # entries and only the D=1 histogram fills (n_cfg, L) grids: the
-        # weights and, for a +-a measure, their transform
-        held = self.n_cfg * self.L + CHUNK * (
-            len(paths) * (D * N + 2) * self.L + self.n_cfg)
-        if held > PAIR_BUDGET:
-            raise BudgetExceeded("config x leaf grid exceeds the budget; "
-                                 "reduce N, n_max, or the path depth")
         self.N1 = N1 = N // 2
         self.n1 = len(P1.atoms) ** N1
         self.n2 = self.n_cfg // self.n1
@@ -416,8 +443,7 @@ def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
     perturbation; inner sums over configurations and retained leaves are
     exact.
     """
-    check_times(t, t_hat)
-    _check_run(model, N, samples, seed)
+    _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat)
     session = _Session(model, P1, N, [q], n_max)
     (logz,), ratio = _crn_samples(
         session, lambda parts: (session.gibbs(parts, 0, t, t_hat).log_z,),
@@ -561,19 +587,12 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     level (`_spectral_histogram`); any other D=1 measure costs a
     configuration-pair matmul per level (`_pair_histogram`).
     """
-    check_times(t, t_hat)
-    _check_run(model, N, samples, seed)
-    if with_histogram:
-        if model.D != 1:
-            raise ValidationError("overlap histogram is only kept for D=1")
-        if len(P1.atoms) ** (2 * N) > PAIR_BUDGET:
-            raise BudgetExceeded("configuration pair grid exceeds the budget")
+    _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat,
+               with_histogram)
     session = _Session(model, P1, N, [q], n_max)
     K, D, N_sp = session.K, session.D, session.N
     if with_histogram:
-        a = P1.atoms
-        sign_pair = a.shape == (2, 1) and a[0, 0] == -a[1, 0] != 0
-        r_values, histogram = (_spectral_histogram if sign_pair
+        r_values, histogram = (_spectral_histogram if _sign_pair(P1)
                                else _pair_histogram)(session)
 
     def stat(parts):
@@ -656,20 +675,19 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     spread of the difference itself.  The cascade is truncated at n_max
     atoms per node.
     """
-    check_times(t)
-    _check_run(model, N, samples, seed)
+    q_alt = q.with_values([0.85 * v for v in q.values])
+    paths = [q, q_alt, q.with_values([0.7 * v for v in q.values])]
+    _check_run(model, P1, N, paths, n_max, samples, seed, t)
     # check (d)'s psi first: past the quadrature budget, fail before sampling
     psi = psi_eval(P1, q, QuadratureSpec()).value
     h = 0.02 * max(t, 0.25)
     t_lo = max(t - h, 0.0)
-    q_alt = q.with_values([0.85 * v for v in q.values])
     t_alt = t + 0.05
-    q_lo = q.with_values([0.7 * v for v in q.values])
-    session = _Session(model, P1, N, [q, q_alt, q_lo], n_max)
+    session = _Session(model, P1, N, paths, n_max)
 
     def stat(parts):
         # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
-        # q_lo at t, then the Gibbs xi moment on q at t: replicas are
+        # 0.7 q at t, then the Gibbs xi moment on q at t: replicas are
         # conditionally independent given the randomness, so the pair
         # expectation factors through the config marginals.  q's leaf
         # factors serve its four times.

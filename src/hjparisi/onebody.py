@@ -95,6 +95,9 @@ def _gh_nodes(n, D):
 def _atom_terms(P1, q_end, tilt):
     """Per-atom additive constants and the sqrt(2)-scaled atom matrix."""
     atoms = np.asarray(P1.atoms, dtype=float)
+    if atoms.shape[1] != len(q_end):
+        raise ValidationError(f"dimensions differ: the measure has D="
+                              f"{atoms.shape[1]}, the path D={len(q_end)}")
     logp = np.log(np.asarray(P1.weights, dtype=float))
     const = logp - np.einsum("ad,de,ae->a", atoms, q_end, atoms)
     if tilt is not None:

@@ -179,6 +179,21 @@ def test_non_finite_or_negative_times_are_validation_errors(files, capsys,
     assert f"error: {name} must be" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["psi", "eval"], ["psi", "grad"], ["crit", "solve", "--t", "0.1"],
+    ["crit", "sweep", "--t-grid", "0.1,0.2"], ["parisi", "sup", "--t", "0.1"],
+    ["parisi", "hopflax", "--t", "0.1"],
+], ids=lambda c: " ".join(c[:2]))
+def test_a_path_of_another_dimension_is_a_validation_error(files, capsys,
+                                                           command):
+    argv = command + ["--model", files["sk.json"],
+                      "--path", files["diag.json"]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert "error: dimensions differ: the model has D=1, the path D=2" in err
+
+
 def test_crit_sweep_csv(files, capsys):
     code, out, _ = run_cli(["crit", "sweep", "--model", files["sk.json"],
                             "--path", files["zero.json"],

@@ -200,20 +200,70 @@ def test_spectral_histogram_is_the_explicit_pair_sum(measure, K):
                                            atol=1e-12)
 
 
-def test_sign_pair_histogram_forms_no_config_pair_array():
-    # 2^11 configurations: one (n_cfg, n_cfg) array of doubles is 32 MiB
-    def run():
-        return gibbs_overlap_law(sk(1.0), P1, 11, 0.1, Q2, 0.0, samples=4,
-                                 n_max=4, seed=0, with_histogram=True)
-
+def _peak_bytes(run):
+    """tracemalloc's peak over a second call of run, past any first-call
+    allocations."""
     run()
     tracemalloc.start()
     try:
         run()
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20, peak
+
+
+def test_sign_pair_histogram_forms_no_config_pair_array():
+    # 2^11 configurations: one (n_cfg, n_cfg) array of doubles is 32 MiB,
+    # and at 2^14 it is 2 GiB
+    for N in (11, 14):
+        peak = _peak_bytes(lambda: gibbs_overlap_law(
+            sk(1.0), P1, N, 0.1, Q2, 0.0, samples=4, n_max=4, seed=0,
+            with_histogram=True))
+        assert peak < 16 * 2 ** 20, (N, peak)
+
+
+P3 = ReferenceMeasure(np.array([[1.0], [-0.5], [0.2]]),
+                      np.array([0.5, 0.3, 0.2]))
+QD = path_new([0.0, 0.5], [0.05 * np.eye(2), 0.1 * np.eye(2)])
+# one full chunk each, every one counted at 2^20 doubles or more:
+# (estimator, model, measure, N, path, n_max, histogram)
+HELD_CASES = {
+    "fe sk": ("fe", sk(1.0), P1, 12, Q2, 64, False),
+    "fe pure_p(3)": ("fe", pure_p(3), P1, 10, Q2, 16, False),
+    "fe frobenius": ("fe", frobenius_square(1.0, 2), ising_measure(2), 7,
+                     QD, 8, False),
+    "overlap +-1 histogram": ("law", sk(1.0), P1, 13, Q2, 4, True),
+    "overlap pair histogram": ("law", sk(1.0), P3, 7, Q2, 4, True),
+    "overlap": ("law", sk(1.0), P1, 12, Q2, 64, False),
+    "check N=12": ("checks", sk(1.0), P1, 12, Q2, 64, False),
+    "check N=14": ("checks", sk(1.0), P1, 14, Q2, 64, False),
+}
+
+
+@pytest.mark.parametrize("case", HELD_CASES)
+def test_the_chunk_count_bounds_what_a_run_holds(case):
+    # the budget's count of doubles is an upper bound on the bytes a run
+    # holds, and within a factor 4 of them
+    estimator, model, measure, N, q, n_max, histogram = HELD_CASES[case]
+    samples, t = finiten.CHUNK, 0.1
+    paths = [q]
+    if estimator == "checks":
+        paths += [q.with_values([f * v for v in q.values])
+                  for f in (0.85, 0.7)]
+    count = finiten._check_run(model, measure, N, paths, n_max, samples, 0,
+                               t, 0.0, histogram)
+    assert count >= 2 ** 20
+    run = {
+        "fe": lambda: free_energy_mc(model, measure, N, t, q, 0.0, samples,
+                                     n_max, 0),
+        "law": lambda: gibbs_overlap_law(model, measure, N, t, q, 0.0,
+                                         samples, n_max, 0,
+                                         with_histogram=histogram),
+        "checks": lambda: identity_checks(model, measure, N, t, q, samples,
+                                          0, n_max=n_max),
+    }[estimator]
+    peak = _peak_bytes(run)
+    assert peak <= 8 * count <= 4 * peak, (peak, 8 * count)
 
 
 def test_identity_checks_pass_on_small_instance():
@@ -291,9 +341,9 @@ def test_identity_checks_fail_their_budget_before_sampling(monkeypatch):
     with pytest.raises(BudgetExceeded):
         identity_checks(frobenius_square(1.0, 2), ising_measure(2), N=2,
                         t=0.1, q=q, samples=20, seed=0, n_max=4)
-    # the pair budget counts one grid of 2^14 configs x 4096 leaves, which
-    # fills it, and three paths' leaf factors per sample besides
-    with pytest.raises(BudgetExceeded, match="leaf grid"):
+    # one chunk holds split factors of 2^7 + 2^7 half configs x 4096
+    # leaves per sample on each compared path, past the budget
+    with pytest.raises(BudgetExceeded, match="one chunk"):
         identity_checks(sk(1.0), P1, N=14, t=0.1, q=Q2, samples=4, seed=0,
                         n_max=4096)
 
@@ -605,23 +655,43 @@ def test_overlap_law_and_identity_checks_are_thread_invariant():
 
 
 def test_validation_comes_before_enumeration(monkeypatch):
-    # dimension, histogram and pair-budget errors need no configurations
+    # every input and finite-N budget error needs no configurations, no
+    # quadrature and no draw
     def no_work(*args, **kwargs):
-        raise AssertionError("configurations enumerated before the check")
+        raise AssertionError("work ran before the check")
 
     monkeypatch.setattr(finiten, "_enumerate_configs", no_work)
+    monkeypatch.setattr(finiten, "psi_eval", no_work)
+    monkeypatch.setattr(finiten._Session, "draw", no_work)
     q_d2 = path_new([0.0], [0.05 * np.eye(2)])
     with pytest.raises(ValidationError, match="D=1"):
         gibbs_overlap_law(frobenius_square(1.0, 2), ising_measure(2), N=3,
                           t=0.1, q=q_d2, t_hat=0.0, samples=50, n_max=8,
                           seed=0, with_histogram=True)
-    # 2^14 configurations fit the enumeration budget, their pairs do not
-    with pytest.raises(BudgetExceeded, match="pair grid"):
-        gibbs_overlap_law(sk(1.0), P1, N=14, t=0.1, q=Q2, t_hat=0.0,
+    # 3^8 configurations fit the enumeration budget; the pair path's
+    # (n_cfg, n_cfg) matrices do not
+    with pytest.raises(BudgetExceeded, match="one chunk"):
+        gibbs_overlap_law(sk(1.0), P3, N=8, t=0.1, q=Q2, t_hat=0.0,
                           samples=50, n_max=8, seed=0, with_histogram=True)
-    for f in (free_energy_mc, gibbs_overlap_law):
+    runs = (
+        lambda model, P, N, q, n_max: free_energy_mc(
+            model, P, N, 0.1, q, 0.0, 50, n_max, seed=0),
+        lambda model, P, N, q, n_max: gibbs_overlap_law(
+            model, P, N, 0.1, q, 0.0, 50, n_max, seed=0),
+        lambda model, P, N, q, n_max: identity_checks(
+            model, P, N, 0.1, q, 50, seed=0, n_max=n_max),
+    )
+    for run in runs:
         with pytest.raises(ValidationError, match="dimensions"):
-            f(sk(1.0), P1, 3, 0.1, q_d2, 0.0, 50, 8, seed=0)
+            run(sk(1.0), P1, 3, q_d2, 8)
+        with pytest.raises(ValidationError, match="measure D=2"):
+            run(sk(1.0), ising_measure(2), 3, Q2, 8)
+        with pytest.raises(ValidationError, match="n_max"):
+            run(sk(1.0), P1, 3, Q2, 1)
+        with pytest.raises(BudgetExceeded, match="3\\^9"):
+            run(sk(1.0), P3, 9, Q2, 8)
+        with pytest.raises(BudgetExceeded, match="one chunk"):
+            run(sk(1.0), P1, 14, Q2, 16384)
 
 
 @pytest.mark.parametrize("n_max, message", [(-2, "at least 2"),

@@ -135,6 +135,14 @@ def test_psi_eval_rejects_signed_paths():
         psi_eval(P1, s, QUAD)
 
 
+def test_every_backend_rejects_a_measure_of_another_dimension():
+    q = path_new([0.0, 0.5], [0.05 * np.eye(2), 0.1 * np.eye(2)])
+    for run in (lambda: psi_eval(P1, q, QUAD), lambda: psi_grad(P1, q, QUAD),
+                lambda: psi_mc(P1, q, 4, 8, 0)):
+        with pytest.raises(ValidationError, match="D=1, the path D=2"):
+            run()
+
+
 def test_psi_budget_fallback():
     # D=2 with K=2 at 32 nodes would need (32^2)^3 = 1e9 kernel points
     q = path_new([0.0, 0.3, 0.6],
