@@ -2,37 +2,32 @@
 the discrete-cascade free energy, Gibbs overlap laws, and the identity
 checks that tie them back to the one-body and variational layers.
 
-Spins are enumerated exactly (product measure over atom assignments) so
-the only randomness is the disorder, the truncated cascade, its field,
-and the optional coupling perturbation; every inner sum is exact.  One
-sample loop draws it from streams keyed by the seed alone, so equal seeds
-give common random numbers, and applies a statistic to each chunk of
-draws: `identity_checks` reads all it compares, on every compared path,
-from one pass, and every estimator reports the largest truncation ratio
-drawn.  Each chunk of 16 samples draws all of them at once from its own
-stream: the coefficients, the Hamiltonian values (contracted in blocks
-of samples), the cascades, the node Gaussians and the coupling matrices
-come in one array each with a leading sample axis.
+Spins are enumerated exactly (product measure over atom assignments), so
+the only randomness is the disorder, the truncated cascade, its field and
+the optional coupling perturbation; every inner sum is exact.  One sample
+loop draws it in chunks of 16 samples, each from its own stream keyed by
+the seed alone, so equal seeds give common random numbers: the
+coefficients, cascades, node Gaussians and coupling matrices of a chunk
+come in one array each with a leading sample axis, and `identity_checks`
+reads all it compares, on every compared path, from one pass.
 
-The partition sum is never formed config by leaf.  The field enters the
-exponent as sqrt(2) x . F_l, a sum over sites, so with the sites split
-into halves, config c = (a, b), each term factors as
-exp(base_ab) E1[a, l] E2[b, l] w_l, every per-config term (the coupling
-perturbation's too) staying in base.  For a whole chunk, log Z is one
-(n1, n2) x (n2, L) product per sample and a small sum over leaves, and
-the Gibbs aggregates (leaf masses, leaf spin sums, the config marginal)
-come from the same factors; only the D=1 overlap histogram forms the
-(config, leaf) weights, by a broadcast product.  For a measure on two
-atoms +-a the overlap of two configs is a function of their Hamming
-distance, so the histogram is read off the weights' Walsh-Hadamard
-spectrum (the MacWilliams identity) with no config-pair array; any other
-D=1 measure bins the (n_cfg, n_cfg) pair matrices.  Each estimator's
-first call, `_check_run`, makes all its input checks and both budgets
-before any work, counting the arrays of the path the run takes.
+Every sum over a config's sites is split by halves, config c = (a, b).
+A degree-p polynomial with coefficient tensor T is sum_m U_m T_m V_(p-m)^T
+over the tensor powers U_m, V_m of the two halves' configs, T_m summing
+T's blocks with m slots on the first half: so go the Hamiltonian and the
+coupling perturbation, and the Gibbs xi moment through the adjoint.  The
+field enters as sqrt(2) x . F_l, so each term of the partition sum
+factors as exp(base_ab) E1[a, l] E2[b, l] w_l, and log Z and the Gibbs
+aggregates of a chunk come from one (n1, n2) x (n2, L) product per
+sample.  Only the D=1 overlap histogram forms (config, leaf) weights: for
+a measure on two atoms +-a it is read off their Walsh-Hadamard spectrum
+(the MacWilliams identity), any other D=1 measure bins config-pair
+matrices.  `_check_run` makes every input check and budget first.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -43,7 +38,7 @@ from .errors import BudgetExceeded, ValidationError
 from .model import xi_eval_batch
 from .onebody import QuadratureSpec, psi_eval
 from .paths import lp_distance, sqrt_increments
-from .util import check_times, chunked_thread_map, node_rng
+from .util import check_times, chunked_thread_map, node_rng, resolve_threads
 
 __all__ = [
     "DisorderSample", "McEstimate", "OverlapLaw", "sample_hamiltonian",
@@ -55,9 +50,6 @@ CONFIG_BUDGET = 16384
 PAIR_BUDGET = 1 << 26
 # samples one stream draws at once, and one chunk of the sample loop
 CHUNK = 16
-# doubles the Hamiltonian contraction's first product, n_cfg * samples *
-# (D*N)**(p-1), may hold; a chunk is contracted in blocks of samples that fit
-CONTRACT_DOUBLES = 1 << 20
 
 
 def _check_size(model, N):
@@ -72,13 +64,9 @@ def _check_size(model, N):
 
 @dataclass(frozen=True, eq=False)
 class DisorderSample:
-    """One draw of the Gaussian Hamiltonian's coefficients.
-
-    terms maps each degree p to an interleaved coefficient tensor of
-    shape (D*N,)*p (spin-slot index d*N+i) already including the
-    N^{-(p-1)/2} normalization; evaluate contracts it against flattened
-    configurations.
-    """
+    """One draw of the Gaussian Hamiltonian's coefficients: terms holds
+    per degree p a tensor (D*N,)*p, spin-slot index d*N+i, with the
+    N^{-(p-1)/2} normalization; evaluate contracts it with configs."""
     model: object
     N: int
     seed: int
@@ -87,31 +75,17 @@ class DisorderSample:
     def evaluate(self, x_flat):
         """H_N for a batch of flattened configurations (n, D*N)."""
         x_flat = np.atleast_2d(np.asarray(x_flat, dtype=float))
-        terms = [(p, tensor[None]) for p, tensor in self.terms]
-        return _hamiltonian_values(terms, x_flat, 1)[0]
-
-
-def _hamiltonian_values(terms, x_flat, count):
-    """H_N of `count` coefficient draws on every configuration, shape
-    (count, n): terms holds per degree p a (count, (D*N,)*p) tensor.  The
-    sample axis rides last in the product's columns, so each contraction
-    over one spin slot serves every sample of a block; a block holds at
-    most as many samples as keep the first product, n * samples *
-    (D*N)**(p-1) doubles, under CONTRACT_DOUBLES."""
-    n, dn = x_flat.shape
-    out = np.zeros((count, n))
-    for p, tensor in terms:
-        width = dn ** (p - 1)
-        cap = max(1, CONTRACT_DOUBLES // (n * width))
-        for s0 in range(0, count, cap):
-            block = tensor[s0:s0 + cap]
-            b = len(block)
-            y = x_flat @ np.moveaxis(block, 0, -1).reshape(dn, -1)
+        dn = self.model.D * self.N
+        if x_flat.ndim != 2 or x_flat.shape[1] != dn:
+            raise ValidationError(f"configurations must have shape (n, "
+                                  f"D*N) = (n, {dn}), got {x_flat.shape}")
+        n, out = len(x_flat), np.zeros(len(x_flat))
+        for p, tensor in self.terms:
+            y = x_flat @ tensor.reshape(dn, -1)
             for _ in range(p - 1):
-                y = y.reshape(n, dn, -1)
-                y = np.einsum("na,nab->nb", x_flat, y)
-            out[s0:s0 + b] += y.T
-    return out
+                y = np.einsum("na,nab->nb", x_flat, y.reshape(n, dn, -1))
+            out += y[:, 0]
+        return out
 
 
 def _sign_pair(P1):
@@ -145,19 +119,22 @@ def _check_run(model, P1, N, paths, n_max, samples, seed, t, t_hat=0.0,
     if n_cfg > CONFIG_BUDGET:
         raise BudgetExceeded(f"{n_at}^{N} configurations exceed the "
                              f"enumeration budget {CONFIG_BUDGET}")
-    # the config arrays; the Hamiltonian and config terms; under 2 L node
-    # Gaussians per site; each path's fields and split factors; per degree
-    # the coefficient tensors and the contraction block and its reduction;
-    # identity_checks' (the run of compared paths) Gibbs marginals and xi
-    # moment tensor; the histogram's spectral buffers or pair matrices
+    # config arrays; Hamiltonian and config terms (at t_hat > 0 the
+    # coupling's two more); node Gaussians; each path's fields and split
+    # factors; identity_checks' marginals; the halves' tensor powers, and
+    # per degree the block index, coefficients, half blocks, largest middle
+    # product and moments; the histogram's buffers
     checks = len(paths) > 1
+    n2, w1, w2 = n_cfg // n1, D * (N // 2), D * (N - N // 2)
+    degrees = {p for p, _ in model.terms} | {2}
     held = n_cfg * (dn + 2 * D * D + 3 + len(paths)) + CHUNK * (
-        (3 + 2 * checks) * n_cfg
-        + L * (2 * dn + len(paths) * (dn + 2 * (n1 + n_cfg // n1))))
-    for p, _ in model.terms:
-        width = n_cfg * dn ** (p - 1)
-        held += (3 * CHUNK * dn ** p + checks * width * dn
-                 + 2 * min(CHUNK * width, max(CONTRACT_DOUBLES, width)))
+        (3 + 2 * checks + 2 * (t_hat > 0)) * n_cfg
+        + L * (2 * dn + len(paths) * (dn + 2 * (n1 + n2))))
+    held += sum(n1 * w1 ** m + n2 * w2 ** m for m in range(max(degrees) + 1))
+    for p in degrees:
+        held += dn ** p + CHUNK * (
+            (5 + 2 * checks) * dn ** p
+            + max(min(n1 * w2 ** (p - m), w1 ** m * n2) for m in range(p + 1)))
     if histogram:
         held += (n_cfg * (2 * L + N + 1 + CHUNK * (K + 1)) if _sign_pair(P1)
                  else 4 * n_cfg ** 2 + n_cfg * L)
@@ -168,27 +145,21 @@ def _check_run(model, P1, N, paths, n_max, samples, seed, t, t_hat=0.0,
 
 
 def _interleave(j, p, N, D):
-    """(count, N^p, D^p) coefficient blocks -> (count, (DN,)*p) with index
-    d*N+i."""
+    """(count, N^p, D^p) coefficients -> (count, (DN,)*p), index d*N+i."""
     t = j.reshape((len(j),) + (N,) * p + (D,) * p)
-    perm = [0]
-    for k in range(p):
-        perm += [1 + p + k, 1 + k]
+    perm = [0] + [a for k in range(p) for a in (1 + p + k, 1 + k)]
     return t.transpose(perm).reshape((len(j),) + (D * N,) * p)
 
 
 def _draw_terms(model, N, rng, count):
     """`count` independent draws of the coefficient tensors: per degree p
-    one (count, (D*N,)*p) array, with cross-slot covariance given by the
-    model's coefficient matrices, drawn with their square roots
-    model.factors, and the N^{-(p-1)/2} normalization included."""
-    D = model.D
-    terms = []
-    for (p, _), factor in zip(model.terms, model.factors):
-        z = rng.standard_normal((count, N ** p, D ** p))
-        tensor = _interleave(z @ factor.T, p, N, D) * N ** (-(p - 1) / 2.0)
-        terms.append((p, tensor))
-    return terms
+    one (count, N**p, D**p) array, sites then dimensions, with cross-slot
+    covariance given by the model's coefficient matrices, drawn with their
+    square roots model.factors, and the N^{-(p-1)/2} normalization
+    included."""
+    return [(p, rng.standard_normal((count, N ** p, model.D ** p))
+             @ factor.T * N ** (-(p - 1) / 2.0))
+            for (p, _), factor in zip(model.terms, model.factors)]
 
 
 def sample_hamiltonian(model, N, seed) -> DisorderSample:
@@ -198,8 +169,8 @@ def sample_hamiltonian(model, N, seed) -> DisorderSample:
     _check_size(model, N)
     _check_seed("seed", seed)
     terms = _draw_terms(model, N, node_rng(seed, 10), 1)
-    return DisorderSample(model, int(N), int(seed),
-                          tuple((p, tensor[0]) for p, tensor in terms))
+    return DisorderSample(model, int(N), int(seed), tuple(
+        (p, _interleave(tensor, p, N, model.D)[0]) for p, tensor in terms))
 
 
 def _enumerate_configs(P1, N):
@@ -237,11 +208,10 @@ class _Gibbs(namedtuple("_Gibbs", "cfg e1 e2 p1 weight log_z")):
         return self.p1.sum(axis=1) * self.weight
 
     def marginal(self):
-        """Gibbs mass of each config summed over the leaves, (count,
-        n_cfg): cfg * (e1 diag(weight) e2^T)."""
-        pair = np.matmul(self.e1 * self.weight[:, None],
-                         self.e2.transpose(0, 2, 1))
-        return (self.cfg * pair).reshape(len(pair), -1)
+        """Gibbs mass of each config summed over the leaves, (count, n1,
+        n2): cfg * (e1 diag(weight) e2^T)."""
+        return self.cfg * np.matmul(self.e1 * self.weight[:, None],
+                                    self.e2.transpose(0, 2, 1))
 
     def grid(self, s, out):
         """Sample s's (n_cfg, L) Gibbs weights, written into out of shape
@@ -265,13 +235,39 @@ def _node_sums(a, nodes):
     return a.reshape(*a.shape[:-1], nodes, -1).sum(axis=-1)
 
 
+def _half_blocks(p, D, N, N1):
+    """Where the half blocks of a degree-p tensor (N**p, D**p) sit in its
+    flat slots, grouped by m, the number of slots on the first N1 sites:
+    per m one row per block, first-half slots first and each slot's
+    (d, site) row-major, as U_m T_m V_(p-m)^T reads them."""
+    index = np.arange(N ** p * D ** p).reshape((N,) * p + (D,) * p)
+    groups = [[] for _ in range(p + 1)]
+    for second in itertools.product((0, 1), repeat=p):
+        block = index[tuple(slice(N1 * h, N if h else N1) for h in second)]
+        slots = sorted(range(p), key=second.__getitem__)
+        groups[p - sum(second)].append(block.transpose(
+            [a for k in slots for a in (p + k, k)]).ravel())
+    return [np.array(group) for group in groups]
+
+
+def _tensor_powers(x, degree):
+    """The tensor powers x^(x)m, m = 0..degree, of each row of x (n, w):
+    (n, w**m), but m = 0 is one row of 1 that broadcasts over the n."""
+    powers = [np.ones((1, 1))]
+    for _ in range(degree):
+        powers.append(np.einsum("ai,aj->aij", powers[-1], x).reshape(
+            len(x), -1))
+    return powers
+
+
 class _Session:
     """Static per-run data shared by every disorder sample, for compared
     paths of one partition: each path's roots scale one draw's field.
 
     Configs are split by sites into halves: the first N1 = N // 2 sites
     (n1 configs) and the rest (n2), so config c = a * n2 + b since site
-    0 is the most significant (`_enumerate_configs`)."""
+    0 is the most significant (`_enumerate_configs`).  Every per-config
+    polynomial comes from the halves' tensor powers (`values`)."""
 
     def __init__(self, model, P1, N, paths, n_max):
         K = paths[0].K
@@ -283,19 +279,29 @@ class _Session:
         self.N1 = N1 = N // 2
         self.n1 = len(P1.atoms) ** N1
         self.n2 = self.n_cfg // self.n1
+        # the halves' tensor powers up to the largest degree, the model's
+        # or the coupling's 2: U_1 (n1, D*N1) and V_1 (n2, D*(N - N1)) are
+        # the halves' configs
         halves = self.x3.reshape(self.n1, self.n2, D, N)
-        # the halves' configs (n1, D, N1) and (n2, D, N - N1)
-        self.u = np.ascontiguousarray(halves[:, 0, :, :N1])
-        self.v = np.ascontiguousarray(halves[0, :, :, N1:])
+        degrees = {p for p, _ in model.terms} | {2}
+        self.U, self.V = (
+            _tensor_powers(x.reshape(len(x), -1), max(degrees))
+            for x in (halves[:, 0, :, :N1], halves[0, :, :, N1:]))
         self.roots = [sqrt_increments(q) for q in paths]
         self.zi = paths[0].zetas[1:]
         gram = np.einsum("cdn,cen->cde", self.x3, self.x3)
-        self.overlap_self = gram / N
-        self.xi_self = xi_eval_batch(model, self.overlap_self)
+        self.xi_self = xi_eval_batch(model, gram / N)
         self.qk_term = [np.einsum("cde,de->c", gram, q.final_value)
                         for q in paths]
-        self.sq_self = np.einsum("cde,cde->c", self.overlap_self,
-                                 self.overlap_self)
+        self.sq_self = np.einsum("cde,cde->c", gram, gram) / N ** 2
+        # per degree and m: the blocks' index, U_m, V_(p-m), and whether
+        # U_m T_m V_(p-m)^T takes U_m first, which holds the smaller middle
+        # product
+        self.split = {p: [(index, self.U[m], self.V[p - m],
+                           self.n1 * self.V[p - m].shape[1]
+                           <= self.U[m].shape[1] * self.n2)
+                          for m, index in enumerate(_half_blocks(p, D, N, N1))]
+                      for p in degrees}
 
     def draw(self, rng, count):
         """The parts of `count` draws of all randomness, each with a
@@ -306,7 +312,7 @@ class _Session:
         truncation ratio of the count cascades."""
         N, D, K, L = self.N, self.D, self.K, self.L
         terms = _draw_terms(self.model, N, rng, count)
-        h_vals = _hamiltonian_values(terms, self.x_flat, count)
+        h_vals = self.values(terms).reshape(count, -1)
         leaf_logw, ratio = _grow_log_weights(self.zi, self.n_max, rng,
                                              batch=count)
         # sample i's level-l nodes are rows i * n_max**l onward, so the
@@ -328,10 +334,9 @@ class _Session:
         each leaf's log scale so far, leaf_logw + m2 (count, L)."""
         count, D, N1, L = len(parts.fields), self.D, self.N1, self.L
         f = parts.fields[:, path]
-        s1 = np.matmul(self.u.reshape(self.n1, D * N1),
-                       f[:, :, :N1].reshape(count, D * N1, L))
-        e2, m2 = _exp_shifted(np.matmul(self.v.reshape(self.n2, -1),
-                                        f[:, :, N1:].reshape(count, -1, L)))
+        s1 = np.matmul(self.U[1], f[:, :, :N1].reshape(count, D * N1, L))
+        e2, m2 = _exp_shifted(np.matmul(self.V[1], f[:, :, N1:].reshape(
+            count, -1, L)))
         return s1, e2, parts.leaf_logw + m2
 
     def config_terms(self, parts, path, t, t_hat):
@@ -343,34 +348,54 @@ class _Session:
         base = base.reshape(-1, self.n1, self.n2)
         if t_hat > 0:
             base -= t_hat * N * self.sq_self.reshape(self.n1, self.n2)
-            base += np.sqrt(2.0 * t_hat) * self._coupling(parts.w_hat)
+            # sqrt(2 t_hat / N) sum_d x_d^T W x_d, of the degree-2 tensor
+            # W (x) I_D
+            w = parts.w_hat * np.sqrt(2.0 * t_hat / N)
+            base += self.values([(2, np.einsum("sij,de->sijde", w,
+                                               np.eye(self.D)))])
         return base
 
-    def _coupling(self, w_hat):
-        """sum_d x_d^T W x_d / sqrt(N) per sample and config (count, n1,
-        n2), in split form: with x_d = (u_d, v_d) by halves it is u^T W11
-        u + v^T W22 v + u^T (W12 + W21^T) v, so no (n_cfg, N) product of
-        a whole config is formed."""
-        count, D, N1 = len(w_hat), self.D, self.N1
-        u = self.u.reshape(self.n1 * D, N1)
-        v = self.v.reshape(self.n2 * D, -1)
-        quad1 = (np.matmul(u, w_hat[:, :N1, :N1]) * u).reshape(
-            count, self.n1, D * N1).sum(axis=2)
-        quad2 = (np.matmul(v, w_hat[:, N1:, N1:]) * v).reshape(
-            count, self.n2, -1).sum(axis=2)
-        m = w_hat[:, :N1, N1:] + w_hat[:, N1:, :N1].transpose(0, 2, 1)
-        cross = np.matmul(np.matmul(u, m).reshape(count, self.n1, -1),
-                          self.v.reshape(self.n2, -1).T)
-        cross += quad1[:, :, None]
-        cross += quad2[:, None, :]
-        return cross / np.sqrt(self.N)
+    def values(self, terms):
+        """sum_p T_p . x_c^(x)p of per-degree coefficient tensors T_p
+        (count, N**p, D**p) on every config, shape (count, n1, n2): per m
+        the blocks with m first-half slots, summed into T_m, give
+        U_m T_m V_(p-m)^T."""
+        count = len(terms[0][1])
+        out = np.zeros((count, self.n1, self.n2))
+        for p, tensor in terms:
+            flat = tensor.reshape(count, -1)
+            for index, u, v, u_first in self.split[p]:
+                t_m = flat[:, index].sum(axis=1).reshape(
+                    count, u.shape[1], v.shape[1])
+                out += (np.matmul(u, t_m) @ v.T if u_first
+                        else u @ np.matmul(t_m, v.T))
+        return out
+
+    def xi_moment(self, g):
+        """sum_{c,c'} g_c g_c' xi(x_c x_c'^T / N) of config weights g
+        (count, n1, n2), per sample: by the adjoint of `values`, each m's
+        U_m^T g V_(p-m) put at its blocks, the moment sum_c g_c x_c^(x)p is
+        an (N**p, D**p) array M, and each degree adds M . M C_p / N**p."""
+        count, D, N = len(g), self.D, self.N
+        total = np.zeros(count)
+        for p, c in self.model.terms:
+            moment = np.empty((count, N ** p * D ** p))
+            for index, u, v, u_first in self.split[p]:
+                # U_0 and V_0 are one row: spread over every half config
+                u = np.repeat(u, self.n1 // len(u), axis=0)
+                v = np.repeat(v, self.n2 // len(v), axis=0)
+                block = (u.T @ np.matmul(g, v) if u_first
+                         else np.matmul(u.T @ g, v))
+                moment[:, index] = block.reshape(count, 1, -1)
+            moment = moment.reshape(count, N ** p, D ** p)
+            total += np.einsum("sja,ab,sjb->s", moment, c, moment) / N ** p
+        return total
 
     def gibbs(self, parts, path, t, t_hat=0.0, leaf=None):
         """log Z of every sample of a chunk at (t, t_hat) on the path of
-        index `path`, and its Gibbs weights, as a _Gibbs: each exponent is
-        base + leaf_logw + sqrt(2) x . F, and x . F is a sum over the two
-        halves' sites, so exp of it factors as cfg * e1 * e2 * leaf weight.
-        leaf takes the path's leaf_factors when the caller has them.
+        index `path`, and its Gibbs weights, as a _Gibbs: the exponent
+        base + leaf_logw + sqrt(2) x . F factors as cfg * e1 * e2 * leaf
+        weight.  leaf takes the path's leaf_factors if the caller has them.
 
         cfg = exp(base) is shifted by its maximum per row a, which e1
         takes in before its own shift by the maximum per leaf, so each
@@ -407,28 +432,28 @@ class _Session:
         p2 = np.matmul(g.cfg.transpose(0, 2, 1), g.e1)
         p2 *= g.e2
         spins = np.concatenate([
-            np.matmul(self.u.reshape(self.n1, -1).T, g.p1).reshape(
-                count, D, self.N1, L),
-            np.matmul(self.v.reshape(self.n2, -1).T, p2).reshape(
-                count, D, self.N - self.N1, L)], axis=2)
+            np.matmul(self.U[1].T, g.p1).reshape(count, D, self.N1, L),
+            np.matmul(self.V[1].T, p2).reshape(count, D, -1, L)], axis=2)
         spins *= g.weight[:, None, None]
         return spins
 
 
-def _crn_samples(session, stat, samples, seed, threads):
+def _crn_samples(session, stat, samples, seed, threads, held):
     """stat(parts) of every chunk of `samples` draws of session, a tuple
     of arrays with a leading sample axis, each joined in sample order; and
     the largest truncation ratio drawn.  Each CHUNK-sample chunk draws its
     samples at once from its own stream keyed by (seed, chunk start), so
     sessions run with one seed share common random numbers at any thread
     count; stat allocates what it works in, so no two threads share a
-    buffer."""
+    buffer, and as each worker holds a chunk of `held` doubles
+    (`_check_run`) no more run at once than PAIR_BUDGET holds."""
 
     def one_chunk(s0):
         parts, ratio = session.draw(node_rng(seed, 5, s0),
                                     min(CHUNK, samples - s0))
         return stat(parts), ratio
 
+    threads = min(resolve_threads(threads), max(1, PAIR_BUDGET // held))
     blocks = chunked_thread_map(one_chunk, range(0, samples, CHUNK), threads)
     return ([np.concatenate(arrays)
              for arrays in zip(*(stats for stats, _ in blocks))],
@@ -437,17 +462,14 @@ def _crn_samples(session, stat, samples, seed, threads):
 
 def free_energy_mc(model, P1, N, t, q, t_hat, samples, n_max, seed,
                    threads=None) -> McEstimate:
-    """Free energy -(1/N) E log Z of the discrete-cascade Gibbs weight.
-
-    Outer Monte Carlo over disorder, cascade, field, and the coupling
-    perturbation; inner sums over configurations and retained leaves are
-    exact.
-    """
-    _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat)
+    """Free energy -(1/N) E log Z of the discrete-cascade Gibbs weight:
+    Monte Carlo over disorder, cascade, field and coupling perturbation,
+    exact sums over configurations and retained leaves."""
+    held = _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat)
     session = _Session(model, P1, N, [q], n_max)
     (logz,), ratio = _crn_samples(
         session, lambda parts: (session.gibbs(parts, 0, t, t_hat).log_z,),
-        samples, seed, threads)
+        samples, seed, threads, held)
     vals = -logz / N
     return McEstimate(float(vals.mean()),
                       float(vals.std(ddof=1) / np.sqrt(samples)),
@@ -513,26 +535,22 @@ def _krawtchouk(N):
     """(N+1, N+1) Krawtchouk matrix: entry (d, w) is the coefficient of
     z**d in (1 - z)**w (1 + z)**(N - w), the sum of (-1)**(S . s) over
     the words s of weight d, for any word S of weight w."""
-    k = np.empty((N + 1, N + 1))
-    for w in range(N + 1):
-        poly = np.ones(1)
-        for sign in [-1.0] * w + [1.0] * (N - w):
-            poly = np.convolve(poly, [1.0, sign])
-        k[:, w] = poly
-    return k
+    P = np.polynomial.polynomial
+    return np.stack([P.polymul(P.polypow([1.0, -1.0], w),
+                               P.polypow([1.0, 1.0], N - w))
+                     for w in range(N + 1)], axis=1)
 
 
 def _spectral_histogram(session):
     """_pair_histogram for a measure on two atoms +-a, with no config-pair
     array.  Two configs' overlap is a**2 (N - 2d) / N with d their Hamming
-    distance, so the pair law is a distance law, and the MacWilliams
-    identity gives it from the Walsh-Hadamard spectrum: for weights f on
-    configs, the pair mass at distance d is sum_w K_d(w) B(w) / n_cfg,
-    with B(w) the sum of squared transforms fhat(S)**2 over the words S
-    of weight w.  The transform over configs (a, b) is H_N1 on the
-    first half and H_(N-N1) on the second, in the site-major order of
-    `_enumerate_configs`, so S's weight is its index's popcount; node
-    sums commute with it, so it is taken once on the leaves."""
+    distance, and by the MacWilliams identity the pair mass at distance d
+    of weights f on configs is sum_w K_d(w) B(w) / n_cfg, with B(w) the
+    sum of the squared Walsh-Hadamard transforms fhat(S)**2 over words S
+    of weight w.  The transform over configs (a, b) is H_N1 on the first
+    half and H_(N-N1) on the second (site-major order), so S's weight is
+    its index's popcount; it commutes with node sums, so is taken once on
+    the leaves."""
     N, K, L, n_cfg = session.N, session.K, session.L, session.n_cfg
     n1, n2 = session.n1, session.n2
     # every distance is taken by a pair holding config 0: the config
@@ -575,20 +593,16 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
     """Joint law of (overlap, common-ancestor level) of two replicas.
 
     Per disorder sample the double sum over configuration pairs and leaf
-    pairs is computed exactly through per-node Gibbs aggregates, read off
-    the split factors of the partition function: each leaf's mass and
-    spin sum comes from two half-config products, and a node's is the sum
-    over its block of leaves.  Level masses and conditional overlap means
-    are always produced; the full scalar-overlap histogram (D=1 only) is
-    opt-in and forms each sample's (config, leaf) Gibbs weights by a
-    broadcast product of the factors.  For a measure on two atoms +-a
-    (`ising_measure(1)` among them) it is read off their Walsh-Hadamard
-    spectrum, two half-config matmuls per sample and a sum of squares per
-    level (`_spectral_histogram`); any other D=1 measure costs a
+    pairs is exact, through per-node Gibbs aggregates: each leaf's mass
+    and spin sum comes from two half-config products, and a node's is the
+    sum over its block of leaves.  The scalar-overlap histogram (D=1 only)
+    is opt-in: for a measure on two atoms +-a (`ising_measure(1)` among
+    them) it is read off the Walsh-Hadamard spectrum of each sample's
+    Gibbs weights (`_spectral_histogram`), for any other D=1 measure off a
     configuration-pair matmul per level (`_pair_histogram`).
     """
-    _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat,
-               with_histogram)
+    held = _check_run(model, P1, N, [q], n_max, samples, seed, t, t_hat,
+                      with_histogram)
     session = _Session(model, P1, N, [q], n_max)
     K, D, N_sp = session.K, session.D, session.N
     if with_histogram:
@@ -610,7 +624,8 @@ def gibbs_overlap_law(model, P1, N, t, q, t_hat, samples, n_max, seed,
                (share_mom[:, :K + 1] - share_mom[:, 1:]) / N_sp)
         return out + (histogram(g),) if with_histogram else out
 
-    results, ratio = _crn_samples(session, stat, samples, seed, threads)
+    results, ratio = _crn_samples(session, stat, samples, seed, threads,
+                                  held)
     mass, moment = results[:2]
     n = len(mass)
     level_mass = mass.mean(axis=0)
@@ -677,7 +692,7 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     """
     q_alt = q.with_values([0.85 * v for v in q.values])
     paths = [q, q_alt, q.with_values([0.7 * v for v in q.values])]
-    _check_run(model, P1, N, paths, n_max, samples, seed, t)
+    held = _check_run(model, P1, N, paths, n_max, samples, seed, t)
     # check (d)'s psi first: past the quadrature budget, fail before sampling
     psi = psi_eval(P1, q, QuadratureSpec()).value
     h = 0.02 * max(t, 0.25)
@@ -686,21 +701,21 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     session = _Session(model, P1, N, paths, n_max)
 
     def stat(parts):
-        # log Z on q at t, t_lo, t + h and 0, on q_alt at t_alt and on
-        # 0.7 q at t, then the Gibbs xi moment on q at t: replicas are
-        # conditionally independent given the randomness, so the pair
-        # expectation factors through the config marginals.  q's leaf
-        # factors serve its four times.
+        # log Z on q at t, t_lo, t + h and 0 (one set of leaf factors), on
+        # q_alt at t_alt and on 0.7 q at t, then the Gibbs xi moment on q
+        # at t, through the config marginals: replicas are conditionally
+        # independent given the randomness.
         leaf = session.leaf_factors(parts, 0)
         g = session.gibbs(parts, 0, t, leaf=leaf)
         lz = [session.gibbs(parts, path, s,
                             leaf=leaf if path == 0 else None).log_z
               for path, s in ((0, t_lo), (0, t + h), (0, 0.0),
                               (1, t_alt), (2, t))]
-        gibbs = [_xi_pair_moment(session, m) for m in g.marginal()]
+        gibbs = session.xi_moment(g.marginal())
         return (np.stack([g.log_z, *lz, gibbs], axis=1),)
 
-    (vals,), ratio = _crn_samples(session, stat, samples, seed, threads)
+    (vals,), ratio = _crn_samples(session, stat, samples, seed, threads,
+                                  held)
     lz_t, lz_down, lz_up, lz0, lz_alt, lz_lo, gibbs = vals.T
     lz, lz0, lz_alt, lz_lo = lz_t / N, lz0 / N, lz_alt / N, lz_lo / N
     checks = {}
@@ -731,20 +746,3 @@ def identity_checks(model, P1, N, t, q, samples, seed, n_max=64,
     checks["initial"] = CheckResult(abs(-lz0.mean() - psi) <= 3 * sig,
                                     float(-lz0.mean()), psi, sig)
     return IdentityReport(checks, ratio)
-
-
-def _xi_pair_moment(session, g):
-    """sum_{c,c'} g_c g_{c'} xi(x_c x_{c'}^T / N) via moment tensors."""
-    model, N, D = session.model, session.N, session.D
-    x3 = session.x3
-    total = 0.0
-    for p, c in model.terms:
-        arr = g                              # start: (n_cfg,)
-        for _ in range(p):
-            arr = np.einsum("c...,cdn->c...dn", arr, x3)
-        # arr axes: (c, d1, n1, d2, n2, ...); sum over c then regroup
-        arr = arr.sum(axis=0)
-        perm = [2 * k for k in range(p)] + [2 * k + 1 for k in range(p)]
-        q_p = arr.transpose(perm).reshape(D ** p, N ** p)
-        total += float(np.einsum("aj,ab,bj->", q_p, c, q_p)) / N ** p
-    return total

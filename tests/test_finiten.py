@@ -9,6 +9,8 @@ from hjparisi import (
     BudgetExceeded,
     QuadratureSpec,
     ValidationError,
+    XiModel,
+    bipartite,
     free_energy_mc,
     frobenius_square,
     gibbs_overlap_law,
@@ -49,6 +51,14 @@ def test_hamiltonian_moments():
     var = np.mean(vals[:, 0] ** 2)
     assert var == pytest.approx(N * 1.0, abs=0.12)        # xi(1) = 1
     assert cov == pytest.approx(N * r_su ** 2, abs=0.08)  # xi(1/3) = 1/9
+
+
+def test_evaluate_rejects_configurations_of_another_width():
+    ham = sample_hamiltonian(frobenius_square(1.0, 2), 3, 0)
+    assert ham.evaluate(np.ones((2, 6))).shape == (2,)
+    for x in (np.ones((2, 3)), np.ones(7), np.ones((2, 2, 6))):
+        with pytest.raises(ValidationError, match="D\\*N"):
+            ham.evaluate(x)
 
 
 def test_hamiltonian_size_guard():
@@ -226,17 +236,19 @@ P3 = ReferenceMeasure(np.array([[1.0], [-0.5], [0.2]]),
                       np.array([0.5, 0.3, 0.2]))
 QD = path_new([0.0, 0.5], [0.05 * np.eye(2), 0.1 * np.eye(2)])
 # one full chunk each, every one counted at 2^20 doubles or more:
-# (estimator, model, measure, N, path, n_max, histogram)
+# (estimator, model, measure, N, path, n_max, histogram, t_hat)
 HELD_CASES = {
-    "fe sk": ("fe", sk(1.0), P1, 12, Q2, 64, False),
-    "fe pure_p(3)": ("fe", pure_p(3), P1, 10, Q2, 16, False),
+    "fe sk": ("fe", sk(1.0), P1, 14, Q2, 64, False, 0.0),
+    "fe pure_p(3)": ("fe", pure_p(3), P1, 14, Q2, 16, False, 0.0),
     "fe frobenius": ("fe", frobenius_square(1.0, 2), ising_measure(2), 7,
-                     QD, 8, False),
-    "overlap +-1 histogram": ("law", sk(1.0), P1, 13, Q2, 4, True),
-    "overlap pair histogram": ("law", sk(1.0), P3, 7, Q2, 4, True),
-    "overlap": ("law", sk(1.0), P1, 12, Q2, 64, False),
-    "check N=12": ("checks", sk(1.0), P1, 12, Q2, 64, False),
-    "check N=14": ("checks", sk(1.0), P1, 14, Q2, 64, False),
+                     QD, 8, False, 0.0),
+    "fe frobenius coupling": ("fe", frobenius_square(1.0, 2),
+                              ising_measure(2), 7, QD, 8, False, 0.05),
+    "overlap +-1 histogram": ("law", sk(1.0), P1, 13, Q2, 4, True, 0.0),
+    "overlap pair histogram": ("law", sk(1.0), P3, 7, Q2, 4, True, 0.0),
+    "overlap": ("law", sk(1.0), P1, 14, Q2, 64, False, 0.0),
+    "check N=12": ("checks", sk(1.0), P1, 12, Q2, 64, False, 0.0),
+    "check N=14": ("checks", sk(1.0), P1, 14, Q2, 64, False, 0.0),
 }
 
 
@@ -244,19 +256,20 @@ HELD_CASES = {
 def test_the_chunk_count_bounds_what_a_run_holds(case):
     # the budget's count of doubles is an upper bound on the bytes a run
     # holds, and within a factor 4 of them
-    estimator, model, measure, N, q, n_max, histogram = HELD_CASES[case]
+    estimator, model, measure, N, q, n_max, histogram, t_hat = \
+        HELD_CASES[case]
     samples, t = finiten.CHUNK, 0.1
     paths = [q]
     if estimator == "checks":
         paths += [q.with_values([f * v for v in q.values])
                   for f in (0.85, 0.7)]
     count = finiten._check_run(model, measure, N, paths, n_max, samples, 0,
-                               t, 0.0, histogram)
+                               t, t_hat, histogram)
     assert count >= 2 ** 20
     run = {
-        "fe": lambda: free_energy_mc(model, measure, N, t, q, 0.0, samples,
+        "fe": lambda: free_energy_mc(model, measure, N, t, q, t_hat, samples,
                                      n_max, 0),
-        "law": lambda: gibbs_overlap_law(model, measure, N, t, q, 0.0,
+        "law": lambda: gibbs_overlap_law(model, measure, N, t, q, t_hat,
                                          samples, n_max, 0,
                                          with_histogram=histogram),
         "checks": lambda: identity_checks(model, measure, N, t, q, samples,
@@ -439,7 +452,7 @@ def _check_split(model, N, K, count):
                 np.testing.assert_allclose(g.log_z[i], log_z, **close)
                 np.testing.assert_allclose(mass[i], weights.sum(axis=0),
                                            **close)
-                np.testing.assert_allclose(marginal[i],
+                np.testing.assert_allclose(marginal[i].ravel(),
                                            weights.sum(axis=1), **close)
                 np.testing.assert_allclose(g.grid(i, grid), weights,
                                            **close)
@@ -452,22 +465,85 @@ def _check_split(model, N, K, count):
                         node_spins.transpose(1, 2, 0), **close)
 
 
+# a D=1 model with every degree 1..4
+MIXED = XiModel(1, tuple((p, np.array([[c]])) for p, c in
+                         ((1, 0.3), (2, 1.0), (3, 0.5), (4, 0.2))))
+# per D: (model, sizes N); at odd N the halves differ in size
+SPLIT_MODELS = {
+    1: ((sk(1.0), (1, 2, 5)), (MIXED, (1, 3, 5))),
+    2: ((frobenius_square(1.0, 2), (1, 2, 5)), (bipartite(1.0), (1, 3))),
+}
+
+
 @pytest.mark.parametrize("D", (1, 2))
 @pytest.mark.parametrize("K", (0, 1, 2))
 def test_assembled_exponent_is_the_elementwise_sum(D, K):
-    # the split factors assemble what the elementwise grid sums: a partial
-    # last chunk of three samples; at N=1 the first half has no sites
-    for N in (1, 2, 5):
-        _check_split(sk(1.0) if D == 1 else frobenius_square(1.0, 2), N,
-                     K, count=3)
+    # the split factors, and the split Hamiltonian and coupling terms,
+    # assemble what the elementwise grid sums: a partial last chunk of
+    # three samples; at N=1 the first half has no sites
+    for model, sizes in SPLIT_MODELS[D]:
+        for N in sizes:
+            _check_split(model, N, K, count=3)
 
 
 def test_assembled_exponent_holds_where_the_contraction_splits_a_chunk():
-    # a cubic model at N=10 holds 2^10 x 10^2 doubles per sample in the
-    # Hamiltonian contraction, so a full chunk is contracted in two blocks
-    N = 10
-    assert finiten.CONTRACT_DOUBLES // (2 ** N * N ** 2) < finiten.CHUNK
-    _check_split(pure_p(3), N, 1, count=finiten.CHUNK)
+    # a full chunk of a cubic model, whose half blocks have m = 0..3
+    # first-half slots
+    _check_split(pure_p(3), 10, 1, count=finiten.CHUNK)
+
+
+@pytest.mark.parametrize("model", (sk(1.0), MIXED, frobenius_square(1.0, 2),
+                                   bipartite(1.0)),
+                         ids=("sk", "degrees 1-4", "frobenius", "bipartite"))
+def test_split_xi_moment_is_the_explicit_pair_sum(model):
+    # sum_{c,c'} g_c g_c' xi(x_c x_c'^T / N) from the halves' moment
+    # tensors against the double sum over config pairs
+    D, count = model.D, 3
+    q = path_new([0.0], [0.1 * np.eye(D)])
+    for N in range(1, 6 if D == 1 else 5):
+        session = finiten._Session(model, ising_measure(D), N, [q], 4)
+        g = np.random.default_rng(N).random((count, session.n1, session.n2))
+        g /= g.sum(axis=(1, 2))[:, None, None]
+        x3 = session.x3
+        pair = np.einsum("adn,ben->abde", x3, x3).reshape(-1, D, D) / N
+        xi = xi_eval_batch(model, pair).reshape(len(x3), len(x3))
+        want = [w @ xi @ w for w in g.reshape(count, -1)]
+        np.testing.assert_allclose(session.xi_moment(g), want, rtol=0.0,
+                                   atol=1e-12)
+
+
+def test_identity_checks_hold_no_config_moment_tensor():
+    # at N=14 an (n_cfg, N^2) moment tensor of the sk Gibbs marginal alone
+    # is 2^14 x 196 doubles, 24.5 MiB
+    peak = _peak_bytes(lambda: identity_checks(
+        sk(1.0), P1, 14, 0.1, Q2, finiten.CHUNK, 0, n_max=64))
+    assert peak < 24 * 2 ** 20, peak
+
+
+def test_workers_are_capped_by_the_chunk_budget(monkeypatch):
+    # the budget counts one chunk and each worker holds one, so with room
+    # for one chunk a 4-thread request runs on one worker, to the same
+    # bytes as one thread
+    paths = [Q2] + [Q2.with_values([f * v for v in Q2.values])
+                    for f in (0.85, 0.7)]
+    held = finiten._check_run(sk(1.0), P1, 10, paths, 16, 64, 0, 0.1)
+    workers, thread_map = [], finiten.chunked_thread_map
+
+    def counted(fn, items, threads):
+        workers.append(threads)
+        return thread_map(fn, items, threads)
+
+    monkeypatch.setattr(finiten, "chunked_thread_map", counted)
+
+    def run(threads):
+        return identity_checks(sk(1.0), P1, 10, 0.1, Q2, 64, seed=0,
+                               n_max=16, threads=threads)
+
+    want = run(1)
+    assert run(4) == want
+    monkeypatch.setattr(finiten, "PAIR_BUDGET", 2 * held - 1)
+    assert run(4) == want
+    assert workers == [1, 4, 1]
 
 
 def test_split_log_z_holds_at_low_temperature_and_a_strong_field():
@@ -513,7 +589,7 @@ FE_INSTANCES = {
     "D2": (frobenius_square(1.0, 2), ising_measure(2), 3, QD2, 8),
 }
 PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
-    ("D1", 0.0): (0.019407676358891297, 0.028478218270758648,
+    ("D1", 0.0): (0.01940767635889129, 0.02847821827075865,
                   0.008712998821111788),
     ("D1", 0.05): (0.01955671630268197, 0.03408057974841573,
                    0.008712998821111788),
@@ -524,15 +600,15 @@ PINNED_FE = {   # (instance, t_hat): (mean, stderr, truncation_ratio)
 }
 PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
     0.0: dict(
-        level_mass=[0.4628984086572029, 0.537101591342797],
-        level_mass_stderr=[0.03566467559599999, 0.03566467559599999],
-        cond_mean=[0.10801539977291046, 0.3670449339216575],
-        cond_mean_stderr=[0.024609342041187914, 0.02012725537700685],
+        level_mass=[0.46289840865720294, 0.537101591342797],
+        level_mass_stderr=[0.035664675595999985, 0.03566467559599999],
+        cond_mean=[0.10801539977291048, 0.3670449339216575],
+        cond_mean_stderr=[0.02460934204118792, 0.02012725537700685],
         joint_mass=[[0.01615010241840003, 0.05859722341531447,
-                     0.11376927642964992, 0.13690521455111457,
+                     0.11376927642964992, 0.1369052145511146,
                      0.10198796583519079, 0.03548862600753315],
-                    [0.004466335268106004, 0.02601927100892632,
-                     0.07973266351816752, 0.1528398456680235,
+                    [0.004466335268106006, 0.026019271008926315,
+                     0.07973266351816749, 0.1528398456680235,
                      0.17861649083112288, 0.09542698504845085]],
         truncation_ratio=0.05133585379496952),
     0.05: dict(
@@ -549,12 +625,12 @@ PINNED_LAW = {   # t_hat: OverlapLaw fields, N=5, n_max=8, seed 9
         truncation_ratio=0.05133585379496952),
 }
 PINNED_CHECKS = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=16, seed 2
-    "lipschitz": (True, 0.006663344157409518, 0.08000000000000002,
-                  0.006291602624771607),
-    "dt_identity": (True, 0.39024614100614763, 0.43252388247318996,
-                    0.12108997052308593),
+    "lipschitz": (True, 0.006663344157409504, 0.08000000000000002,
+                  0.006291602624771611),
+    "dt_identity": (True, 0.39024614100614835, 0.43252388247319,
+                    0.12108997052308611),
     "monotone": (True, 0.0262001577044835, 0.0,
-                 0.005240458646622007),
+                 0.005240458646622009),
     "initial": (True, 0.07206975886597856, 0.03341942319313077,
                 0.019357632552503782),
 }
@@ -597,10 +673,10 @@ def test_overlap_law_histogram_matches_pinned_values(threads):
 
 # identity_checks on a D=2 instance, from the same kernel
 PINNED_CHECKS_D2 = {   # name: (passed, lhs, rhs, sigma), N=3, n_max=8, seed 2
-    "lipschitz": (True, "0x1.e51fa64ee9420p-6", "0x1.6c1b31e94e076p-4",
-                  "0x1.6f61f36e7081cp-8"),
-    "dt_identity": (True, "0x1.44f7e14928290p-1", "0x1.6c1a9069da63cp-2",
-                    "0x1.03e5d1caf4079p-3"),
+    "lipschitz": (True, "0x1.e51fa64ee9428p-6", "0x1.6c1b31e94e076p-4",
+                  "0x1.6f61f36e7081ep-8"),
+    "dt_identity": (True, "0x1.44f7e14928293p-1", "0x1.6c1a9069da63cp-2",
+                    "0x1.03e5d1caf407cp-3"),
     "monotone": (True, "0x1.74847b768db40p-10", "0x0.0p+0",
                  "0x1.1290c26875993p-8"),
     "initial": (True, "-0x1.50c422ced43d8p-7", "0x1.14cf85bde9148p-6",
@@ -713,7 +789,7 @@ def test_sessions_reject_a_truncation_the_cascade_cannot_run(n_max, message):
 # free_energy_mc on a depth-0 path, from the same kernel
 PINNED_FE_FLAT = {   # t_hat: (mean, stderr, truncation_ratio)
     0.0: ("0x1.a0e722a5f266dp-5", "0x1.fd0ce7c936ccdp-6", "0x0.0p+0"),
-    0.05: ("0x1.5039618f6fb8ap-4", "0x1.1744a7d30cf81p-5", "0x0.0p+0"),
+    0.05: ("0x1.5039618f6fb88p-4", "0x1.1744a7d30cf81p-5", "0x0.0p+0"),
 }
 
 
